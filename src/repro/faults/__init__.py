@@ -16,8 +16,8 @@ can be tested bit-for-bit:
 - :mod:`repro.faults.retry` — :class:`RetryPolicy`, seeded exponential
   backoff for the engine's per-task retry loop;
 - :mod:`repro.faults.fleet` — precomputed fleet-scale GPU failure
-  schedules for the datacenter simulator (same fault-hash discipline,
-  one Bernoulli draw per GPU-tick);
+  schedules for the datacenter simulator (one fault-hash root key per
+  schedule, one counter-based Bernoulli draw per GPU-tick);
 - :mod:`repro.faults.drift` — :class:`DriftedApplication`, the silent
   failure mode: a workload whose behaviour shifts while its reported
   features do not (chaos input for the lifecycle loop).

@@ -49,6 +49,7 @@ __all__ = [
     "SITE_WORKER",
     "FaultEvent",
     "FaultInjector",
+    "fault_hash_key",
     "fault_hash_unit",
 ]
 
@@ -72,6 +73,12 @@ FAULT_ERRORS: Dict[str, Type[TransientFaultError]] = {
 }
 
 
+def _sha256_u64(*parts: str) -> int:
+    """8-byte big-endian prefix of ``sha256`` over ``\\x1f``-joined parts."""
+    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def fault_hash_unit(seed: int, site: str, occurrence: int) -> float:
     """Deterministic uniform draw in ``[0, 1)`` for one fault decision.
 
@@ -79,13 +86,18 @@ def fault_hash_unit(seed: int, site: str, occurrence: int) -> float:
     scaled by ``2**64``; equal inputs always give the same value, and
     any input change decorrelates the draw completely.
     """
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode("utf-8"))
-    h.update(b"\x1f")
-    h.update(site.encode("utf-8"))
-    h.update(b"\x1f")
-    h.update(str(int(occurrence)).encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "big") / 2.0**64
+    return _sha256_u64(str(int(seed)), site, str(int(occurrence))) / 2.0**64
+
+
+def fault_hash_key(seed: int, site: str) -> int:
+    """64-bit root key for a family of counter-derived fault decisions.
+
+    The 8-byte prefix of ``sha256(seed \\x1f site)`` as an unsigned
+    integer. Grid-shaped schedules (:mod:`repro.faults.fleet`) hash once
+    per ``(seed, site)`` here and derive each cell from counters mixed
+    into this key, instead of paying one ``sha256`` per cell.
+    """
+    return _sha256_u64(str(int(seed)), site)
 
 
 @dataclass(frozen=True)

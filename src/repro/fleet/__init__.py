@@ -14,10 +14,10 @@ Layout:
 - :mod:`repro.fleet.state` — the SoA arrays, :class:`FleetResult`, and
   the bitwise trajectory comparison;
 - :mod:`repro.fleet.workload` — seeded arrivals, job types, and the
-  sha256 GPU failure schedule (all randomness, decided up front);
+  counter-based GPU failure schedule (all randomness, decided up front);
 - :mod:`repro.fleet.policy` — deadline-aware frequency selection,
   scalar and batched, provably tie-equivalent;
-- :mod:`repro.fleet.advisor` — memoized batched profiles through
+- :mod:`repro.fleet.advisor` — per-type batched profiles through
   :meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff_batch`;
 - :mod:`repro.fleet.engine` — the vectorized tick loop and the
   spec-level entry points;

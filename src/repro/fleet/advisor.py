@@ -4,24 +4,25 @@ One simulated tick may place dozens of jobs. The pre-SoA way to advise
 them is one :meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff`
 call per job — ``4 x n_estimators`` per-tree Python walks each — which
 is exactly what the naive reference engine does (and why it is slow).
-The fleet advisor instead routes **all** of a tick's not-yet-profiled
-feature tuples through
+The fleet advisor instead routes the distinct feature tuples of a
+request through
 :meth:`~repro.modeling.DomainSpecificModel.predict_tradeoff_batch` in a
 single call — one traversal of the combined four-submodel
-:class:`~repro.ml.soa.FlatForest` node pool — and memoizes profiles by
-feature tuple (a fleet workload draws jobs from a small set of job
-types, so after warm-up a tick's advice is pure dictionary lookups).
+:class:`~repro.ml.soa.FlatForest` node pool. A fleet workload draws
+jobs from a small set of job types, so the vectorized engine asks once
+per run, for every job type of the spec, and gathers each tick's rows
+from the resulting tables.
 
 Bit-transparency: profiles are deterministic functions of the feature
 tuple and the grid, and ``predict_tradeoff_batch`` is documented (and
 property-tested) bit-identical to scalar ``predict_tradeoff``, so
-memoized-batched advice equals the reference engine's uncached scalar
-calls float-for-float.
+batched advice equals the reference engine's uncached scalar calls
+float-for-float.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,32 +37,25 @@ class FleetAdvisor:
     def __init__(self, model, freqs_mhz: np.ndarray) -> None:
         self.model = model
         self.freqs_mhz = np.asarray(freqs_mhz, dtype=float)
-        self._profiles: Dict[FeatureKey, object] = {}
 
     def profile(self, features: Sequence[float]):
         """Uncached scalar prediction — the naive reference path.
 
         Deliberately performs the full per-request model call every
-        time (no memoization), mirroring what a per-GPU object loop
-        built on ``AdvisorService.advise`` would pay.
+        time, mirroring what a per-GPU object loop built on
+        ``AdvisorService.advise`` would pay.
         """
         return self.model.predict_tradeoff(list(features), self.freqs_mhz)
 
     def profiles(self, features_batch: Sequence[FeatureKey]) -> List:
-        """Profiles for a tick's placements; one batched call for misses.
+        """Profiles for a batch of feature tuples in one batched call.
 
         Returns one :class:`~repro.modeling.domain.TradeoffPrediction`
-        per input row (rows may repeat). Unseen feature tuples are
+        per input row (rows may repeat). The distinct tuples are
         predicted together through ``predict_tradeoff_batch`` — a single
-        combined-pool SoA traversal regardless of how many jobs the
-        tick places.
+        combined-pool SoA traversal however many rows are asked for.
         """
-        missing: List[FeatureKey] = []
-        for key in features_batch:
-            if key not in self._profiles and key not in missing:
-                missing.append(key)
-        if missing:
-            fresh = self.model.predict_tradeoff_batch(missing, self.freqs_mhz)
-            for key, prof in zip(missing, fresh):
-                self._profiles[key] = prof
-        return [self._profiles[key] for key in features_batch]
+        distinct = list(dict.fromkeys(features_batch))
+        fresh = self.model.predict_tradeoff_batch(distinct, self.freqs_mhz)
+        by_key = dict(zip(distinct, fresh))
+        return [by_key[key] for key in features_batch]

@@ -13,8 +13,9 @@ and mirrored step-for-step by the reference engine):
 3. **arrivals** — this tick's jobs join the queue;
 4. **scheduling** — earliest-deadline-first over the queue onto healthy
    idle GPUs (ascending index), frequency picked per placement by the
-   deadline-aware policy from profiles served through one batched
-   combined-forest call (:class:`~repro.fleet.advisor.FleetAdvisor`);
+   deadline-aware policy from per-type time/energy tables built by one
+   batched combined-forest call per run
+   (:class:`~repro.fleet.advisor.FleetAdvisor`) and gathered by job type;
 5. **thermal/power** — an elementwise first-order temperature proxy
    update from each GPU's current draw;
 6. **trajectory** — integer queue/running/done/down counters.
@@ -132,7 +133,12 @@ def _run_vectorized(spec, model, workload: FleetWorkload) -> FleetResult:
     fail_grid = workload.failures
     deadline_s = workload.deadline_s
     job_type = workload.job_type
-    type_features = workload.type_features
+    # [n_types, n_freqs] profile tables from one batched advisor call;
+    # each tick gathers its placements' rows by job type (fancy indexing
+    # copies the exact floats the reference engine predicts per job).
+    type_profs = advisor.profiles(workload.type_features)
+    type_times = np.stack([p.times_s for p in type_profs])
+    type_energies = np.stack([p.energies_j for p in type_profs])
 
     for t in range(n_t):
         t_s = t * tick_s
@@ -192,9 +198,9 @@ def _run_vectorized(spec, model, workload: FleetWorkload) -> FleetResult:
             pick = queued[order[: idle.size]]
             gsel = idle[: pick.size]
             k = pick.size
-            profs = advisor.profiles([type_features[i] for i in job_type[pick]])
-            times = np.stack([p.times_s for p in profs])
-            energies = np.stack([p.energies_j for p in profs])
+            types = job_type[pick]
+            times = type_times[types]
+            energies = type_energies[types]
             if advised:
                 sel = select_min_energy_deadline_batch(
                     times, energies, deadline_s[pick] - t_s

@@ -9,9 +9,10 @@ different loop orders could never be) and the whole simulation a pure
 function of ``(FleetSpec, seed)``.
 
 Arrivals use ``np.random.default_rng(seed)`` (PCG64, the repo-wide
-generator discipline from :mod:`repro.utils.rng`); failures reuse the
-:func:`repro.faults.fleet.fleet_failure_schedule` sha256 grid so fleet
-chaos follows the same fault-hash discipline as campaign chaos.
+generator discipline from :mod:`repro.utils.rng`); failures come from
+the counter-based :func:`repro.faults.fleet.fleet_failure_schedule`,
+keyed by the same ``sha256`` fault-hash core as campaign chaos, so each
+``(gpu, tick)`` draw is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def build_workload(spec) -> FleetWorkload:
         start += count
 
     failures = None
-    if spec.gpu_failure_prob > 0.0:
+    # != rather than >: a NaN or negative probability must reach the
+    # schedule's range check instead of silently switching faults off.
+    if spec.gpu_failure_prob != 0.0:
         failures = fleet_failure_schedule(
             spec.seed, spec.gpus, spec.ticks, spec.gpu_failure_prob
         )

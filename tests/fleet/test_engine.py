@@ -13,6 +13,7 @@ from repro.fleet import (
     diff_trajectories,
     simulate_fleet,
 )
+from repro.fleet.advisor import FleetAdvisor
 from repro.specs.fleet import FleetJobType
 
 from tests.fleet.conftest import make_spec
@@ -40,6 +41,43 @@ class TestBitIdentity:
         assert vec.pop("mode") == "vectorized"
         assert ref.pop("mode") == "reference"
         assert vec == ref
+
+
+class TestTypeProfileGather:
+    def test_one_advisor_profiles_call_per_simulation(self, tiny_model, monkeypatch):
+        calls = []
+        original = FleetAdvisor.profiles
+
+        def counting(self, features_batch):
+            calls.append(tuple(features_batch))
+            return original(self, features_batch)
+
+        monkeypatch.setattr(FleetAdvisor, "profiles", counting)
+        spec = make_spec(gpu_failure_prob=0.05, seed=3)
+        result = simulate_fleet(spec, tiny_model, mode="vectorized")
+        assert result.summary()["jobs"] > 0
+        assert calls == [tuple(jt.features for jt in spec.job_types)]
+
+    def test_undrawn_job_types_keep_bit_identity(self, tiny_model):
+        spec = make_spec(
+            job_types=(
+                FleetJobType(name="drawn", features=(2.0,), deadline_s=12.0),
+                FleetJobType(
+                    name="never-a", features=(3.0,), deadline_s=9.0, weight=1e-12
+                ),
+                FleetJobType(
+                    name="never-b", features=(4.0,), deadline_s=16.0, weight=1e-12
+                ),
+            ),
+            gpu_failure_prob=0.05,
+            repair_ticks=4,
+            seed=3,
+        )
+        vec = simulate_fleet(spec, tiny_model, mode="vectorized")
+        ref = simulate_fleet(spec, tiny_model, mode="reference")
+        assert set(vec.job_type.tolist()) == {0}
+        assert vec.summary()["gpu_failures"] > 0
+        assert diff_trajectories(vec, ref) == []
 
 
 class TestDeterminism:

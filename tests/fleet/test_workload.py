@@ -1,8 +1,13 @@
 """Workload generation: all randomness decided once, deterministically."""
 
-import numpy as np
+import hashlib
 
+import numpy as np
+import pytest
+
+import repro.faults.fleet as faults_fleet
 from repro.faults.fleet import fleet_failure_schedule
+from repro.faults.injector import fault_hash_unit
 from repro.fleet import build_workload
 from repro.specs.fleet import FleetJobType
 
@@ -83,6 +88,81 @@ class TestFailures:
         hi = fleet_failure_schedule(0, 16, 50, 0.5).sum()
         assert hi > lo
 
-    def test_zero_probability_short_circuits(self):
+    def test_zero_probability_short_circuits(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("hashed a fault-free schedule")
+
+        monkeypatch.setattr(faults_fleet, "fault_hash_key", boom)
         grid = fleet_failure_schedule(0, 4, 10, 0.0)
+        assert grid.shape == (10, 4)
         assert not grid.any()
+
+    def test_unit_probability_fails_every_cell(self):
+        w = build_workload(make_spec(gpu_failure_prob=1.0))
+        assert w.failures.shape == (30, 4)
+        assert w.failures.all()
+
+
+class TestScheduleValidation:
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 1.5, -0.2])
+    def test_bad_probability_raises_through_build_workload(self, p):
+        with pytest.raises(ValueError, match="probability"):
+            build_workload(make_spec(gpu_failure_prob=p))
+
+    def test_negative_gpu_count_raises_through_build_workload(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            build_workload(make_spec(gpus=-1, gpu_failure_prob=0.1))
+
+    @pytest.mark.parametrize("dims", [(-1, 5), (4, -1)])
+    def test_negative_dimension_raises(self, dims):
+        with pytest.raises(ValueError, match="dimensions"):
+            fleet_failure_schedule(0, dims[0], dims[1], 0.1)
+
+    def test_empty_grid_is_valid(self):
+        assert fleet_failure_schedule(0, 0, 5, 0.1).shape == (5, 0)
+        assert fleet_failure_schedule(0, 3, 0, 0.1).shape == (0, 3)
+
+
+class TestCounterSchedule:
+    @pytest.mark.parametrize("p", [0.001, 0.05, 0.5])
+    def test_fire_rate_within_five_sigma(self, p):
+        grid = fleet_failure_schedule(13, 1000, 200, p)
+        n = grid.size
+        assert abs(int(grid.sum()) - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p))
+
+    def test_seed_decorrelates_the_grid(self):
+        a = fleet_failure_schedule(1, 64, 50, 0.1)
+        b = fleet_failure_schedule(2, 64, 50, 0.1)
+        assert a.tobytes() != b.tobytes()
+
+    def test_site_prefix_decorrelates_the_grid(self):
+        a = fleet_failure_schedule(1, 64, 50, 0.1)
+        b = fleet_failure_schedule(1, 64, 50, 0.1, site_prefix="rack.gpu")
+        assert a.tobytes() != b.tobytes()
+
+    def test_cells_do_not_depend_on_the_chunking(self):
+        # > 64K cells, so the grid is mixed in several tick chunks
+        wide = fleet_failure_schedule(5, 3000, 40, 0.05)
+        for t in (0, 21, 22, 39):
+            row = fleet_failure_schedule(5, 3000, t + 1, 0.05)[t]
+            assert row.tobytes() == wide[t].tobytes()
+
+    def test_golden_schedule_bits(self):
+        # Pins the schedule's exact bits: a change here changes every
+        # fault-injecting fleet's outcome and must be deliberate.
+        fired = np.flatnonzero(fleet_failure_schedule(7, 64, 50, 0.02))
+        digest = hashlib.sha256(fired.astype("<i8").tobytes()).hexdigest()
+        assert digest == (
+            "e3b4eacf45e79d29220bf5474c2631414db40da27929fd93eda8b2a26183b212"
+        )
+
+    def test_fault_hash_unit_values_are_unchanged(self):
+        # Campaign chaos schedules derive from these draws; they must
+        # stay bit-identical across fleet schedule changes.
+        assert fault_hash_unit(0, "gpu.launch", 0) == 0.843221382505244
+        assert fault_hash_unit(7, "fleet.gpu.3", 11) == 0.32581010033743985
+        assert (
+            fault_hash_unit(123456789, "task/sensor.energy#1", 42)
+            == 0.7118463273757029
+        )
+        assert fault_hash_unit(-5, "worker", 2**40) == 0.6165698278564608

@@ -12,6 +12,8 @@ Two promises get explored here rather than spot-checked:
   measurement must equal the fault-free one bit for bit.
 """
 
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from repro.faults import (
     FaultSpec,
     fault_hash_unit,
 )
+from repro.faults.injector import fault_hash_key
 from repro.hw.specs import make_v100_spec
 from repro.ligen.app import LigenApplication
 from repro.runtime.engine import MeasurementTask, execute_task, execute_task_resilient
@@ -73,6 +76,25 @@ class TestHashUnit:
     def test_occurrences_decorrelate(self, seed, site):
         draws = [fault_hash_unit(seed, site, occ) for occ in range(32)]
         assert len(set(draws)) == len(draws)
+
+    @given(
+        st.integers(min_value=-(2**63), max_value=2**63),
+        st.text(max_size=24),
+        st.integers(min_value=0, max_value=2**40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sha256_definition(self, seed, site, occurrence):
+        # Campaign chaos schedules are bit-pinned to this definition.
+        payload = f"{seed}\x1f{site}\x1f{occurrence}".encode("utf-8")
+        expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big") / 2.0**64
+        assert fault_hash_unit(seed, site, occurrence) == expected
+
+    @given(st.integers(min_value=0, max_value=2**63), sites_st)
+    @settings(max_examples=100, deadline=None)
+    def test_key_is_the_occurrence_free_sha256_prefix(self, seed, site):
+        payload = f"{seed}\x1f{site}".encode("utf-8")
+        expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+        assert fault_hash_key(seed, site) == expected
 
 
 def decision_sequence(plan, scope="task:1", draws=48):

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.fleet import fleet_failure_schedule
 from repro.fleet import diff_trajectories, simulate_fleet
 from repro.ml.forest import RandomForestRegressor
 from repro.modeling.dataset import EnergyDataset, EnergySample
@@ -108,3 +109,23 @@ def test_energy_accounting_covers_the_whole_horizon(spec):
     horizon_s = spec.ticks * spec.tick_s
     # busy + down + idle spans partition the horizon, so busy never exceeds it
     assert np.all(res.gpu_busy_s <= horizon_s + 1e-9)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    gpus=st.integers(min_value=0, max_value=40),
+    ticks=st.integers(min_value=0, max_value=30),
+    extra_gpus=st.integers(min_value=0, max_value=3000),
+    extra_ticks=st.integers(min_value=0, max_value=40),
+    p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_failure_schedule_cells_are_independent_of_grid_shape(
+    seed, gpus, ticks, extra_gpus, extra_ticks, p
+):
+    """Each cell is a pure function of ``(seed, g, t)``: a small grid is
+    the top-left block of any larger one (whatever its tick chunking)."""
+    small = fleet_failure_schedule(seed, gpus, ticks, p)
+    big = fleet_failure_schedule(seed, gpus + extra_gpus, ticks + extra_ticks, p)
+    assert small.shape == (ticks, gpus)
+    assert small.tobytes() == big[:ticks, :gpus].tobytes()
