@@ -91,6 +91,9 @@ class FrequencyTable:
         if np.any(arr <= 0) or not np.isfinite(arr).all():
             raise ValueError("frequencies must be positive and finite")
         self._freqs = arr
+        # The table is immutable, so its median spacing (which ``snap``
+        # needs on every call) is computed once.
+        self._step = float(np.median(np.diff(arr))) if arr.size >= 2 else 0.0
         if default_mhz is not None:
             default_mhz = self.snap(float(default_mhz))
         self._default = default_mhz
@@ -150,7 +153,7 @@ class FrequencyTable:
         f = float(freq_mhz)
         if not np.isfinite(f) or f <= 0:
             raise FrequencyError(f"invalid frequency request: {freq_mhz!r}")
-        step = self.step_mhz()
+        step = self._step
         if f < self.min_mhz - step / 2 - 1e-9 or f > self.max_mhz + step / 2 + 1e-9:
             raise FrequencyError(
                 f"{f} MHz outside supported range [{self.min_mhz}, {self.max_mhz}] MHz"
@@ -160,9 +163,7 @@ class FrequencyTable:
 
     def step_mhz(self) -> float:
         """Median inter-bin spacing (0 for a single-entry table)."""
-        if self._freqs.size < 2:
-            return 0.0
-        return float(np.median(np.diff(self._freqs)))
+        return self._step
 
     def subsample(self, count: int) -> List[float]:
         """Pick ``count`` approximately evenly spaced frequencies from the table.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import LedgerError
-from repro.runtime.seeding import canonical_json, stable_digest
+from repro.runtime.seeding import canonical_json, digest_matches, stable_digest
 
 __all__ = ["LEDGER_FORMAT", "LEDGER_VERSION", "LEDGER_KINDS", "LedgerState", "PromotionLedger"]
 
@@ -154,7 +154,7 @@ class PromotionLedger:
                     f"{LEDGER_VERSION})"
                 )
             body = {k: v for k, v in entry.items() if k != "digest"}
-            if entry.get("digest") != stable_digest(body):
+            if not digest_matches(body, entry.get("digest")):
                 raise LedgerError(f"{where}: entry digest mismatch (tampered or corrupt)")
             if entry.get("seq") != len(out):
                 raise LedgerError(

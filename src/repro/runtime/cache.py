@@ -9,6 +9,10 @@ repetitions, task seed, sensor mode)``
 
 so *any* change to the device model, workload configuration, protocol,
 or seeding invalidates exactly the affected entries — and nothing else.
+The key payload may carry :class:`~repro.runtime.seeding.Encoded`
+fragments (the engine encodes the device signature and each app
+fingerprint once per sweep); they hash to exactly the bytes of the
+values they stand for, so a key never depends on how it was built.
 Entries are plain JSON files laid out as ``<root>/<aa>/<digest>.json``
 (two-hex-digit fan-out directories), written atomically via a temporary
 file + ``os.replace`` so an interrupted campaign never leaves a torn
@@ -31,7 +35,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
-from repro.runtime.seeding import canonical_json, stable_digest
+from repro.runtime.seeding import Encoded, canonical_json, digest_matches, stable_digest
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache"]
 
@@ -129,7 +133,7 @@ class ResultCache:
             self.stats.misses += 1
             return None
         value = record.get("value")
-        if record.get("digest") != self._value_digest(value):
+        if not digest_matches(value, record.get("digest")):
             self.stats.corrupt += 1
             self.stats.misses += 1
             self._discard(path)
@@ -137,19 +141,6 @@ class ResultCache:
         self.stats.hits += 1
         self.stats.bytes_read += len(raw)
         return value
-
-    @staticmethod
-    def _value_digest(value: Any) -> Optional[str]:
-        """Digest of an entry's value, or ``None`` if it is not hashable.
-
-        Values read back from disk are plain JSON types, so a
-        non-canonicalizable value is itself evidence of corruption — it
-        simply never matches the stored digest string.
-        """
-        try:
-            return stable_digest(value)
-        except TypeError:
-            return None
 
     @staticmethod
     def _discard(path: pathlib.Path) -> None:
@@ -164,12 +155,15 @@ class ResultCache:
 
         ``key_payload`` — the pre-hash key contents — is stored alongside
         the value purely for human inspection of the cache directory.
+        The value is encoded once; its digest and the stored record share
+        that text.
         """
+        encoded_value = Encoded(canonical_json(value))
         record = {
             "format": _ENTRY_FORMAT,
             "schema": CACHE_SCHEMA_VERSION,
-            "value": value,
-            "digest": stable_digest(value),
+            "value": encoded_value,
+            "digest": stable_digest(encoded_value),
         }
         if key_payload is not None:
             record["key"] = key_payload

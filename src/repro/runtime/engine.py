@@ -61,7 +61,7 @@ from repro.hw.device import SimulatedGPU
 from repro.hw.specs import DeviceSpec
 from repro.kernels.batch import KernelLaunchBatch
 from repro.runtime.cache import ResultCache
-from repro.runtime.seeding import canonicalize, derive_task_seed
+from repro.runtime.seeding import Encoded, canonical_json, canonicalize, derive_task_seed
 from repro.synergy.api import SynergyDevice
 from repro.synergy.replay import ReplayPlan, record_launches, replay_measure
 from repro.synergy.runner import (
@@ -495,10 +495,24 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # task construction
     # ------------------------------------------------------------------
+    def _app_identity(self, app: Application) -> Encoded:
+        """The encoded fingerprint keying ``app``'s seeds and cache entries."""
+        try:
+            app_fp = app_fingerprint(app)
+        except ConfigurationError:
+            # Without a cache, identity is only needed for seeding; fall
+            # back to the app name so ad-hoc (non-dataclass) workloads
+            # still run. With a cache the ambiguity could collide cache
+            # entries, so the error stands.
+            if self.cache is not None:
+                raise
+            app_fp = {"type": type(app).__qualname__, "config": {"name": app.name}}
+        return Encoded(canonical_json(app_fp))
+
     def _task_for(
         self,
         app: Application,
-        app_fp: Dict[str, Any],
+        app_fp: Encoded,
         spec: DeviceSpec,
         freq_mhz: Optional[float],
         repetitions: int,
@@ -521,10 +535,15 @@ class CampaignEngine:
         )
 
     def _cache_payload(
-        self, task: MeasurementTask, app_fp: Dict[str, Any]
+        self, task: MeasurementTask, device: Encoded, app_fp: Encoded
     ) -> Dict[str, Any]:
+        """The cache-key contents of ``task``.
+
+        ``device`` and ``app_fp`` are the task's device signature and app
+        fingerprint, encoded once per sweep call by the caller.
+        """
         payload = {
-            "device": task.spec.signature(),
+            "device": device,
             "app": app_fp,
             "point": _point_key(task.freq_mhz, task.mem_freq_mhz),
             "repetitions": int(task.repetitions),
@@ -589,23 +608,15 @@ class CampaignEngine:
         sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
         method = self.method if method is None else self._check_method(method)
 
+        device = Encoded(canonical_json(spec.signature()))
         tasks: List[MeasurementTask] = []
         payloads: List[Dict[str, Any]] = []
         for app in apps:
-            try:
-                app_fp = app_fingerprint(app)
-            except ConfigurationError:
-                # Without a cache, identity is only needed for seeding;
-                # fall back to the app name so ad-hoc (non-dataclass)
-                # workloads still run. With a cache the ambiguity could
-                # collide cache entries, so the error stands.
-                if self.cache is not None:
-                    raise
-                app_fp = {"type": type(app).__qualname__, "config": {"name": app.name}}
+            app_fp = self._app_identity(app)
             for freq in [None, *sweep]:
                 task = self._task_for(app, app_fp, spec, freq, repetitions, method)
                 tasks.append(task)
-                payloads.append(self._cache_payload(task, app_fp))
+                payloads.append(self._cache_payload(task, device, app_fp))
 
         if method == "replay":
             self._account_launch_evals(apps, spec, len(sweep) + 1, repetitions)
@@ -673,15 +684,11 @@ class CampaignEngine:
         method = self.method if method is None else self._check_method(method)
         reference_mem = float(spec.mem_freq_mhz)
 
+        device = Encoded(canonical_json(spec.signature()))
         tasks: List[MeasurementTask] = []
         payloads: List[Dict[str, Any]] = []
         for app in apps:
-            try:
-                app_fp = app_fingerprint(app)
-            except ConfigurationError:
-                if self.cache is not None:
-                    raise
-                app_fp = {"type": type(app).__qualname__, "config": {"name": app.name}}
+            app_fp = self._app_identity(app)
             for freq, mem in [(None, None)] + [
                 (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
             ]:
@@ -689,7 +696,7 @@ class CampaignEngine:
                     app, app_fp, spec, freq, repetitions, method, mem_freq_mhz=mem
                 )
                 tasks.append(task)
-                payloads.append(self._cache_payload(task, app_fp))
+                payloads.append(self._cache_payload(task, device, app_fp))
 
         if method == "replay":
             self._account_launch_evals(
@@ -765,10 +772,16 @@ class CampaignEngine:
         done = 0
         results: List[Optional[PointMeasurement]] = [None] * total
         pending: List[int] = []
+        # Each task's key is hashed once: the lookup and the store share it.
+        keys = (
+            [None] * total
+            if self.cache is None
+            else [self.cache.key_for(payload) for payload in payloads]
+        )
 
         # Phase 1: replay every cached point.
         for i, task in enumerate(tasks):
-            cached = self._cache_get(payloads[i])
+            cached = self._cache_get(keys[i])
             if cached is not None:
                 results[i] = cached
                 done += 1
@@ -783,7 +796,7 @@ class CampaignEngine:
         if pending and self.jobs == 1:
             for i in pending:
                 results[i] = self._after_execute(
-                    tasks[i], payloads[i], execute_task_resilient(tasks[i])
+                    tasks[i], keys[i], payloads[i], execute_task_resilient(tasks[i])
                 )
                 done += 1
                 if progress is not None:
@@ -800,7 +813,7 @@ class CampaignEngine:
                     for future in finished:
                         i = futures[future]
                         results[i] = self._after_execute(
-                            tasks[i], payloads[i], future.result()
+                            tasks[i], keys[i], payloads[i], future.result()
                         )
                         done += 1
                         if progress is not None:
@@ -813,10 +826,10 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # cache plumbing
     # ------------------------------------------------------------------
-    def _cache_get(self, payload: Dict[str, Any]) -> Optional[PointMeasurement]:
+    def _cache_get(self, key: Optional[str]) -> Optional[PointMeasurement]:
         if self.cache is None:
             return None
-        record = self.cache.get(self.cache.key_for(payload))
+        record = self.cache.get(key)
         if record is None:
             self.stats.cache_misses += 1
             return None
@@ -827,6 +840,7 @@ class CampaignEngine:
     def _after_execute(
         self,
         task: MeasurementTask,
+        key: Optional[str],
         payload: Dict[str, Any],
         outcome: TaskOutcome,
     ) -> Optional[PointMeasurement]:
@@ -840,6 +854,6 @@ class CampaignEngine:
             return None
         measurement = outcome.measurement
         if self.cache is not None:
-            self.cache.put(self.cache.key_for(payload), measurement.as_record(), payload)
+            self.cache.put(key, measurement.as_record(), payload)
             self.stats.cache_bytes_written = self.cache.stats.bytes_written
         return measurement

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.errors import ModelIntegrityError, RegistryError, ReproError
 from repro.io.serialization import load_domain_model
 from repro.modeling.domain import DomainSpecificModel
-from repro.runtime.seeding import canonical_json, stable_digest
+from repro.runtime.seeding import canonical_json, digest_matches, stable_digest
 
 __all__ = [
     "REGISTRY_SCHEMA_VERSION",
@@ -262,7 +262,7 @@ class ModelRegistry:
                 f"(this build reads {REGISTRY_SCHEMA_VERSION})"
             )
         payload = record.get("manifest")
-        if record.get("digest") != stable_digest(payload):
+        if not digest_matches(payload, record.get("digest")):
             raise ModelIntegrityError(
                 f"{name}:v{version}: manifest digest mismatch (tampered or corrupt)"
             )

@@ -203,3 +203,25 @@ class TestSingleEntryTableBoundaries:
         for off in (0.02, -0.02, 50.0):
             with pytest.raises(FrequencyError):
                 t.snap(t.min_mhz + off)
+
+
+def _reference_snap(freqs: np.ndarray, f: float) -> float:
+    """``FrequencyTable.snap`` as it was when it re-derived the step per call."""
+    step = float(np.median(np.diff(freqs))) if freqs.size >= 2 else 0.0
+    if f < freqs[0] - step / 2 - 1e-9 or f > freqs[-1] + step / 2 + 1e-9:
+        raise FrequencyError(f"{f} MHz outside the table")
+    return float(freqs[int(np.argmin(np.abs(freqs - f)))])
+
+
+@pytest.mark.parametrize("maker", ["make_v100_spec", "make_mi100_spec", "make_a100_spec"])
+def test_snap_matches_per_call_step_reference(maker):
+    """The step computed once in ``__init__`` snaps exactly as before."""
+    from repro.hw import specs
+
+    t = getattr(specs, maker)().core_freqs
+    freqs = t.freqs_mhz
+    step = float(np.median(np.diff(freqs)))
+    assert t.step_mhz() == step
+    for f in freqs:
+        for probe in (f - 0.49 * step, f, f + 0.49 * step):
+            assert t.snap(probe) == _reference_snap(freqs, probe)

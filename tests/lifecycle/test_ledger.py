@@ -63,6 +63,16 @@ class TestTamperDetection:
         with pytest.raises(LedgerError, match=r"LEDGER\.jsonl:2.*digest mismatch"):
             ledger.entries()
 
+    def test_non_finite_token_breaks_digest(self, ledger):
+        # json.loads accepts Infinity; it must read as tampering, not
+        # crash the digest check with a raw ValueError.
+        _seed(ledger)
+        text = ledger.path.read_text()
+        ledger.path.write_text(text.replace('"candidate_mape":4.0', '"candidate_mape":Infinity'))
+        assert ledger.path.read_text() != text
+        with pytest.raises(LedgerError, match=r"LEDGER\.jsonl:3.*digest mismatch"):
+            ledger.entries()
+
     def test_dropped_line_breaks_chain(self, ledger):
         _seed(ledger)
         lines = ledger.path.read_text().splitlines()

@@ -115,6 +115,32 @@ class TestDigestValidation:
         # The poisoned file is unlinked so it can never be served later.
         assert not path.exists()
 
+    def test_non_finite_token_is_corrupt_and_discarded(self, tmp_path):
+        # json.loads accepts NaN, which has no canonical digest: the entry
+        # must degrade to a counted corrupt miss, not raise out of get().
+        cache = ResultCache(tmp_path)
+        key = cache.key_for({"k": 9})
+        cache.put(key, {"time_s": 1.5})
+        path = cache.path_for(key)
+        path.write_text(path.read_text().replace('"time_s":1.5', '"time_s":NaN'))
+        assert cache.get(key) is None
+        assert cache.stats.corrupt == 1
+        assert cache.stats.misses == 1
+        assert not path.exists()
+
+    def test_put_bytes_match_plain_canonical_record(self, tmp_path):
+        from repro.runtime.seeding import canonical_json, stable_digest
+
+        cache = ResultCache(tmp_path)
+        key = cache.key_for({"k": 10})
+        value = {"time_s": 1.5, "rep_times_s": [1.25, -0.0]}
+        cache.put(key, value, key_payload={"k": 10})
+        expected = canonical_json(
+            {"format": "repro.campaign_point", "schema": CACHE_SCHEMA_VERSION,
+             "value": value, "digest": stable_digest(value), "key": {"k": 10}}
+        )
+        assert cache.path_for(key).read_bytes() == expected.encode("utf-8")
+
     def test_recompute_after_corruption_self_heals(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key_for({"k": 7})

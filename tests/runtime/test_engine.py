@@ -191,3 +191,53 @@ class TestBuilderIntegration:
         assert len(seen) == 1 + len(SMALL_FREQS)
         assert seen[-1][0] == seen[-1][1] == 1 + len(SMALL_FREQS)
         assert all(not cached for _, _, cached in seen)
+
+
+class TestGoldenKeys:
+    """Cache keys pinned from the two-step (canonicalize, then dump) encoder.
+
+    An on-disk cache written before the one-pass encoder must keep
+    hitting: the engine has to produce these exact digests for the same
+    campaign, device and point.
+    """
+
+    CAMPAIGN_SEED = 1234
+    V100_CRONOS_BASELINE = "33351a414e8ddfa3b6bd201e82ea4d98741dbf3d2e55e5bb57d3377105cb896e"
+    V100_CRONOS_BASELINE_SEED = 7988596864364970479
+    A100_MHD_2D = "9f59025d1e16a0e4ae98a03a6073d4f43a03839521604c44fa51180fe0e72967"
+
+    def test_key_for_plain_payload(self, tmp_path):
+        app = CronosApplication.from_size(16, 8, 8, n_steps=4)
+        payload = {
+            "device": make_v100_spec().signature(),
+            "app": app_fingerprint(app),
+            "point": "baseline",
+            "repetitions": 3,
+            "seed": self.V100_CRONOS_BASELINE_SEED,
+            "ideal_sensors": False,
+        }
+        assert ResultCache(tmp_path).key_for(payload) == self.V100_CRONOS_BASELINE
+
+    def test_v100_cronos_baseline_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        engine = CampaignEngine(
+            jobs=1, cache=cache, campaign_seed=self.CAMPAIGN_SEED, method="replay"
+        )
+        app = CronosApplication.from_size(16, 8, 8, n_steps=4)
+        engine.characterize(app, make_v100_spec(), freqs_mhz=[1282.0], repetitions=3)
+        assert cache.path_for(self.V100_CRONOS_BASELINE).is_file()
+
+    def test_a100_mhd_2d_point_entry(self, tmp_path):
+        from repro.hw.specs import make_a100_spec
+        from repro.mhd.app import MhdApplication
+
+        cache = ResultCache(tmp_path)
+        engine = CampaignEngine(
+            jobs=1, cache=cache, campaign_seed=self.CAMPAIGN_SEED, method="replay"
+        )
+        app = MhdApplication.from_size(12, 24, 16, n_steps=4)
+        engine.characterize_grid(
+            [app], make_a100_spec(), freqs_mhz=[510.0], mem_freqs_mhz=[810.0],
+            repetitions=3,
+        )
+        assert cache.path_for(self.A100_MHD_2D).is_file()

@@ -143,6 +143,16 @@ class TestIntegrity:
         with pytest.raises(ModelIntegrityError, match="manifest digest"):
             registry.resolve("toy")
 
+    def test_non_finite_manifest_token_is_integrity_error(self, registry):
+        # json.loads accepts NaN; it must read as tampering, not crash
+        # the digest check with a raw ValueError.
+        path = registry.manifest_path("toy", 1)
+        text = path.read_text()
+        path.write_text(text.replace('"baseline_freq_mhz":1282.0', '"baseline_freq_mhz":NaN'))
+        assert path.read_text() != text
+        with pytest.raises(ModelIntegrityError, match="manifest digest"):
+            registry.resolve("toy")
+
     def test_future_schema_rejected(self, registry):
         path = registry.manifest_path("toy", 1)
         record = json.loads(path.read_text())
