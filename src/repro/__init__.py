@@ -20,7 +20,7 @@ Quickstart::
     from repro.ligen import LigenApplication
     from repro.modeling import true_front
 
-    device = Platform.default(seed=7).get_device("v100")
+    device = Platform.default_device("v100", seed=7)
     app = LigenApplication(n_ligands=10000, n_atoms=89, n_fragments=20)
     sweep = characterize(app, device)
     print(true_front(sweep).freqs_mhz)

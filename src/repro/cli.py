@@ -88,8 +88,8 @@ def _device(args):
     from repro.synergy import Platform
 
     name = args.device.strip().lower()
-    if name in ("v100", "mi100"):
-        return Platform.default(seed=args.seed).get_device(name)
+    if name in Platform.DEFAULT_DEVICES:
+        return Platform.default_device(name, seed=args.seed)
     from repro.hw.device import create_device
     from repro.synergy.api import SynergyDevice
 

@@ -312,7 +312,7 @@ def _quick_ligen_model(seed: int):
     from repro.modeling import DomainSpecificModel
     from repro.synergy import Platform
 
-    device = Platform.default(seed=seed).get_device("v100")
+    device = Platform.default_device("v100", seed=seed)
     campaign = build_ligen_campaign(
         device,
         freq_count=6,

@@ -18,8 +18,9 @@ profiler, mirroring where noise enters on real hardware.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -470,8 +471,9 @@ class SimulatedGPU:
         Counters are zeroed and the clock is back at the boot state —
         exactly what a campaign worker process needs: the physical truth
         of the device without any state carried over from other sweep
-        points. The spec object itself is shared, not copied; it is a
-        frozen dataclass, so sharing is safe and the clone is cheap.
+        points. The spec object itself is shared, not copied; it is
+        deeply immutable (frozen dataclass, read-only cost mapping and
+        frequency arrays), so sharing is safe and the clone is cheap.
         """
         return SimulatedGPU(self.spec)
 
@@ -488,22 +490,37 @@ class SimulatedGPU:
         return f"SimulatedGPU({self.name!r}, clock={mode})"
 
 
-def create_device(name: str) -> SimulatedGPU:
-    """Create a device by short name: ``"v100"``, ``"a100"``, ``"mi250"``, ..."""
-    key = name.strip().lower()
-    if key in ("v100", "nvidia", "nvidia v100"):
-        return SimulatedGPU(make_v100_spec())
-    if key in ("mi100", "amd", "amd mi100"):
-        return SimulatedGPU(make_mi100_spec())
-    if key in ("max1100", "intel", "intel max 1100", "pvc"):
-        return SimulatedGPU(make_intel_max_spec())
-    if key in ("a100", "nvidia a100"):
-        return SimulatedGPU(make_a100_spec())
-    if key in ("h100", "nvidia h100"):
-        return SimulatedGPU(make_h100_spec())
-    if key in ("mi250", "amd mi250"):
-        return SimulatedGPU(make_mi250_spec())
-    raise DeviceError(
-        f"unknown device {name!r}; expected 'v100', 'a100', 'h100', "
-        f"'mi100', 'mi250' or 'max1100'"
+#: Accepted device names and aliases -> spec factory.
+_SPEC_FACTORIES = {
+    alias: factory
+    for factory, aliases in (
+        (make_v100_spec, ("v100", "nvidia", "nvidia v100")),
+        (make_mi100_spec, ("mi100", "amd", "amd mi100")),
+        (make_intel_max_spec, ("max1100", "intel", "intel max 1100", "pvc")),
+        (make_a100_spec, ("a100", "nvidia a100")),
+        (make_h100_spec, ("h100", "nvidia h100")),
+        (make_mi250_spec, ("mi250", "amd mi250")),
     )
+    for alias in aliases
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_spec(factory: Callable[[], DeviceSpec]) -> DeviceSpec:
+    return factory()
+
+
+def create_device(name: str) -> SimulatedGPU:
+    """Create a device by short name: ``"v100"``, ``"a100"``, ``"mi250"``, ...
+
+    The :class:`DeviceSpec` is built once per process and device, then
+    shared by every device created from it, as :meth:`SimulatedGPU.clone`
+    shares it: specs are deeply immutable.
+    """
+    factory = _SPEC_FACTORIES.get(name.strip().lower())
+    if factory is None:
+        raise DeviceError(
+            f"unknown device {name!r}; expected 'v100', 'a100', 'h100', "
+            f"'mi100', 'mi250' or 'max1100'"
+        )
+    return SimulatedGPU(_shared_spec(factory))

@@ -82,6 +82,7 @@ class FrequencyTable:
     NVIDIA devices ship a default application clock (``default_mhz``);
     AMD devices (paper §3.1.1) have no default clock and instead rely on
     an automatic performance level, so ``default_mhz`` may be ``None``.
+    The frequency array is read-only, so tables can be shared.
     """
 
     def __init__(self, freqs_mhz: Sequence[float], default_mhz: Optional[float] = None):
@@ -90,6 +91,7 @@ class FrequencyTable:
             raise ValueError("frequency table must be non-empty")
         if np.any(arr <= 0) or not np.isfinite(arr).all():
             raise ValueError("frequencies must be positive and finite")
+        arr.setflags(write=False)
         self._freqs = arr
         # The table is immutable, so its median spacing (which ``snap``
         # needs on every call) is computed once.
@@ -113,6 +115,12 @@ class FrequencyTable:
             raise ValueError("hi_mhz must be >= lo_mhz")
         freqs = np.linspace(lo_mhz, hi_mhz, count)
         return cls(freqs, default_mhz=default_mhz)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writable; keep the table read-only
+        # in campaign worker processes too.
+        self.__dict__.update(state)
+        self._freqs.setflags(write=False)
 
     @property
     def freqs_mhz(self) -> np.ndarray:

@@ -14,7 +14,7 @@ claim about the exact silicon.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "DeviceSpec",
+    "FrozenMapping",
     "make_v100_spec",
     "make_mi100_spec",
     "make_intel_max_spec",
@@ -31,6 +32,36 @@ __all__ = [
     "make_mi250_spec",
     "scale_spec",
 ]
+
+
+class FrozenMapping(Mapping):
+    """A read-only ``str -> float`` mapping that pickles.
+
+    ``types.MappingProxyType`` would also reject writes, but it cannot be
+    pickled, and campaign worker processes receive device specs by
+    pickle. Equality follows :class:`~collections.abc.Mapping`, so a
+    frozen mapping compares equal to a ``dict`` with the same items.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: Mapping[str, float]) -> None:
+        self._data = dict(data)
+
+    def __getitem__(self, key: str) -> float:
+        return self._data[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __reduce__(self):
+        return (FrozenMapping, (self._data,))
+
+    def __repr__(self) -> str:
+        return f"FrozenMapping({self._data!r})"
 
 
 @dataclass(frozen=True)
@@ -75,7 +106,8 @@ class DeviceSpec:
         Per-device overrides of the issue-cycle cost table (e.g. the
         MI100's special-function throughput is relatively weaker than the
         V100's, which is why the paper measures LiGen — trig-heavy — as
-        disproportionately slower there, Figs 6-9).
+        disproportionately slower there, Figs 6-9). Stored as a
+        :class:`FrozenMapping`, whatever mapping is passed in.
     launch_overhead_us:
         Fixed host-side kernel launch cost in microseconds.
     core_freqs:
@@ -136,6 +168,9 @@ class DeviceSpec:
     mem_voltage: Optional[VoltageCurve] = None
 
     def __post_init__(self) -> None:
+        # Deeply immutable: one spec object is shared by every device
+        # built from it (see repro.hw.device.create_device).
+        object.__setattr__(self, "op_cost_overrides", FrozenMapping(self.op_cost_overrides))
         check_positive(self.n_cores, "n_cores")
         check_positive(self.ipc, "ipc")
         check_positive(self.max_resident_threads, "max_resident_threads")

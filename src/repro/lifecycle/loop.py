@@ -134,7 +134,7 @@ def build_retrainer(spec, registry) -> Retrainer:
     from repro.experiments.datasets import default_training_freqs
     from repro.synergy import Platform
 
-    device = Platform.default(seed=spec.seed).get_device(spec.device_name)
+    device = Platform.default_device(spec.device_name, seed=spec.seed)
     freqs = default_training_freqs(device, spec.freq_count)
     table = device.gpu.spec.core_freqs
     if table.default_mhz is not None:
@@ -165,9 +165,11 @@ def _registry_for(spec):
 def _measure_outcome(spec, app, freq_mhz: float, epoch: int, request: int):
     """Measure one followed advice at its advised clock; ``(time, energy)``.
 
-    Each measurement runs on a freshly seeded platform whose seed
-    derives from (spec seed, epoch, request) — independent of advice
-    content, so the closed-loop and frozen-baseline arms observe
+    Each measurement runs on one freshly built device — the served
+    device alone, via :meth:`~repro.synergy.Platform.default_device`,
+    with the sensor streams the full default platform would give it —
+    seeded from (spec seed, epoch, request). The seed is independent of
+    advice content, so the closed-loop and frozen-baseline arms observe
     identical noise streams and differ only in what their models
     predicted.
     """
@@ -175,7 +177,7 @@ def _measure_outcome(spec, app, freq_mhz: float, epoch: int, request: int):
     from repro.synergy.runner import measure
 
     seed = derive_task_seed(spec.seed, "lifecycle-outcome", epoch, request)
-    device = Platform.default(seed=seed).get_device(spec.device_name)
+    device = Platform.default_device(spec.device_name, seed=seed)
     device.set_core_frequency(freq_mhz)
     time_s, energy_j, _times, _energies = measure(app, device, 1)
     return time_s, energy_j

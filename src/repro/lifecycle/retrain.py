@@ -106,8 +106,8 @@ class Retrainer:
         from repro.runtime.engine import CampaignEngine
         from repro.synergy import Platform
 
-        device = Platform.default(seed=self.campaign_seed(generation)).get_device(
-            self.device_name
+        device = Platform.default_device(
+            self.device_name, seed=self.campaign_seed(generation)
         )
         engine = CampaignEngine(
             jobs=self.jobs,

@@ -3,7 +3,7 @@
 :func:`run_campaign` turns a :class:`~repro.specs.campaign.CampaignSpec`
 into exactly the objects the hand-wired ``repro campaign`` CLI path
 builds — same device construction (built-in devices come from
-``Platform.default`` seeded with the campaign seed), same engine
+``Platform.default_device`` seeded with the campaign seed), same engine
 arguments, same dataset builders — so a spec-driven run is bit-identical
 to the equivalent CLI invocation (the acceptance test pins this).
 
@@ -41,9 +41,10 @@ __all__ = [
 def build_device(spec: CampaignSpec):
     """Construct the :class:`SynergyDevice` a campaign spec names.
 
-    Built-in ``v100``/``mi100`` devices come from ``Platform.default``
-    seeded with the campaign seed — the exact objects ``repro campaign``
-    uses — so cached results and sensor streams line up bit-for-bit.
+    Built-in ``v100``/``mi100`` devices come from
+    ``Platform.default_device`` seeded with the campaign seed — the exact
+    construction ``repro campaign`` uses — so cached results and sensor
+    streams line up bit-for-bit.
     """
     from repro.synergy.api import Platform, SynergyDevice
 
@@ -53,8 +54,8 @@ def build_device(spec: CampaignSpec):
         dev_spec = load_device_table(resolve_ref(spec.device_table, spec.base_dir))
         return SynergyDevice(SimulatedGPU(dev_spec), seed=spec.engine.seed)
     name = spec.device_name or "v100"
-    if name in ("v100", "mi100"):
-        return Platform.default(seed=spec.engine.seed).get_device(name)
+    if name in Platform.DEFAULT_DEVICES:
+        return Platform.default_device(name, seed=spec.engine.seed)
     from repro.hw.device import create_device
 
     return SynergyDevice(create_device(name), seed=spec.engine.seed)

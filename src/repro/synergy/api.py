@@ -11,6 +11,8 @@ Typical use::
 
     platform = Platform.default()           # one V100 + one MI100
     dev = platform.get_device("v100")
+    # or, building only the device that is measured (same streams):
+    dev = Platform.default_device("v100")
     with dev.profile() as region:
         app.run(dev)
     print(region.time_s, region.energy_j)   # noisy readings
@@ -19,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -152,8 +154,15 @@ class Platform:
     """Device discovery: a named collection of :class:`SynergyDevice`.
 
     Mirrors SYCL platform/device enumeration. The default platform holds
-    the paper's two devices.
+    the paper's two devices, :attr:`DEFAULT_DEVICES`, in seeding order:
+    the device at position ``i`` gets sensor stream
+    ``spawn_child(rng, i)``, drawn ``i``-th from the platform seed.
+    :meth:`default_device` builds one of them alone with that same
+    stream, for callers that measure on one device only.
     """
+
+    #: The paper's testbed in child-stream draw order.
+    DEFAULT_DEVICES = ("v100", "mi100")
 
     def __init__(self, devices: Dict[str, SynergyDevice]) -> None:
         if not devices:
@@ -161,19 +170,39 @@ class Platform:
         self._devices = dict(devices)
 
     @classmethod
+    def _default_streams(cls, seed: RandomState) -> Iterator[Tuple[str, np.random.Generator]]:
+        """``(name, sensor seed)`` per default device, drawn lazily in order."""
+        rng = as_generator(seed)
+        for i, name in enumerate(cls.DEFAULT_DEVICES):
+            yield name, spawn_child(rng, i)
+
+    @classmethod
     def default(cls, seed: RandomState = None, ideal_sensors: bool = False) -> "Platform":
         """The paper's testbed: one V100 and one MI100."""
-        rng = as_generator(seed)
         return cls(
             {
-                "v100": SynergyDevice(
-                    create_device("v100"), seed=spawn_child(rng, 0), ideal_sensors=ideal_sensors
-                ),
-                "mi100": SynergyDevice(
-                    create_device("mi100"), seed=spawn_child(rng, 1), ideal_sensors=ideal_sensors
-                ),
+                name: SynergyDevice(create_device(name), seed=child, ideal_sensors=ideal_sensors)
+                for name, child in cls._default_streams(seed)
             }
         )
+
+    @classmethod
+    def default_device(
+        cls, name: str, seed: RandomState = None, ideal_sensors: bool = False
+    ) -> SynergyDevice:
+        """One device of the default platform, built alone.
+
+        Bitwise equivalent to
+        ``Platform.default(seed, ideal_sensors).get_device(name)`` — same
+        shared spec, same sensor streams — without building the other
+        device. A generator ``seed`` only loses the draws up to and
+        including this device's own.
+        """
+        key = name.strip().lower()
+        if key not in cls.DEFAULT_DEVICES:
+            raise DeviceError(f"no device {name!r}; available: {sorted(cls.DEFAULT_DEVICES)}")
+        child = next(c for n, c in cls._default_streams(seed) if n == key)
+        return SynergyDevice(create_device(key), seed=child, ideal_sensors=ideal_sensors)
 
     def device_names(self) -> List[str]:
         """Names of all devices on the platform."""

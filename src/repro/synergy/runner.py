@@ -203,8 +203,10 @@ def measure(
     Returns ``(median_time_s, median_energy_j, rep_times, rep_energies)``.
     This is the single measurement primitive every sweep point — serial
     or fanned out by :class:`repro.runtime.engine.CampaignEngine` — goes
-    through.
+    through. ``repetitions`` must be an int >= 1 (the median of no runs
+    is undefined), else :class:`ValueError` / :class:`TypeError`.
     """
+    repetitions = check_positive_int(repetitions, "repetitions")
     times = np.empty(repetitions)
     energies = np.empty(repetitions)
     for r in range(repetitions):

@@ -1,10 +1,13 @@
 """Unit tests for device specifications."""
 
 import dataclasses
+import pickle
 
+import numpy as np
 import pytest
 
-from repro.hw.specs import make_mi100_spec, make_v100_spec, scale_spec
+from repro.hw.device import SimulatedGPU, create_device
+from repro.hw.specs import FrozenMapping, make_mi100_spec, make_v100_spec, scale_spec
 
 
 class TestV100Spec:
@@ -85,6 +88,58 @@ class TestSpecValidation:
         spec = make_v100_spec()
         with pytest.raises(ValueError):
             dataclasses.replace(spec, op_cost_overrides={"special_fn": 0.0})
+
+
+class TestSharedSpecs:
+    """``create_device`` shares one spec per name, so specs must be deeply immutable."""
+
+    def test_create_device_shares_spec(self):
+        assert create_device("v100").spec is create_device("NVIDIA V100").spec
+        assert create_device("mi100").spec is create_device("amd").spec
+        assert create_device("v100").spec is not create_device("mi100").spec
+
+    def test_shared_spec_equals_fresh_spec(self):
+        # FrequencyTable compares by identity, so compare signatures.
+        assert create_device("mi100").spec.signature() == make_mi100_spec().signature()
+
+    def test_cost_overrides_reject_mutation(self):
+        overrides = create_device("mi100").spec.op_cost_overrides
+        assert isinstance(overrides, FrozenMapping)
+        assert overrides == {"special_fn": 36.0}
+        with pytest.raises(TypeError):
+            overrides["special_fn"] = 1.0
+        with pytest.raises(TypeError):
+            del overrides["special_fn"]
+
+    def test_passed_dict_is_copied(self):
+        costs = {"special_fn": 30.0}
+        spec = dataclasses.replace(make_v100_spec(), op_cost_overrides=costs)
+        costs["special_fn"] = 1.0
+        assert spec.op_cost_overrides["special_fn"] == 30.0
+
+    def test_frequency_array_rejects_mutation(self):
+        table = create_device("v100").spec.core_freqs
+        with pytest.raises(ValueError):
+            table._freqs[0] = 1.0
+        # The public accessor still hands out a private, writable copy.
+        copy = table.freqs_mhz
+        copy[0] = 1.0
+        assert table.min_mhz == 135.0
+
+    @pytest.mark.parametrize("name", ["v100", "mi100", "a100"])
+    def test_spec_and_device_pickle_round_trip(self, name):
+        gpu = create_device(name)
+        for obj in (gpu.spec, gpu):
+            back = pickle.loads(pickle.dumps(obj))
+            spec = back if obj is gpu.spec else back.spec
+            assert spec.signature() == gpu.spec.signature()
+            assert isinstance(spec.op_cost_overrides, FrozenMapping)
+            assert not spec.core_freqs._freqs.flags.writeable
+        back = pickle.loads(pickle.dumps(gpu))
+        assert isinstance(back, SimulatedGPU)
+        np.testing.assert_array_equal(
+            back.supported_frequencies(), gpu.supported_frequencies()
+        )
 
 
 class TestScaleSpec:

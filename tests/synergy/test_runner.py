@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernels.ir import KernelLaunch, KernelSpec
-from repro.synergy.runner import FrequencySample, characterize
+from repro.synergy.runner import FrequencySample, characterize, measure
 
 
 class ToyApp:
@@ -75,6 +75,14 @@ class TestCharacterize:
     def test_invalid_repetitions(self, v100_dev, small_freqs):
         with pytest.raises(ValueError):
             characterize(ToyApp(), v100_dev, freqs_mhz=small_freqs, repetitions=0)
+
+
+class TestMeasure:
+    def test_zero_repetitions_rejected(self, v100_dev):
+        # The median of no runs used to come back as (nan, nan, ...) with
+        # only a NumPy RuntimeWarning.
+        with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
+            measure(ToyApp(), v100_dev, 0)
 
 
 class TestResultHelpers:
