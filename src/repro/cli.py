@@ -149,10 +149,8 @@ def cmd_train(args) -> int:
     from repro.modeling import DomainSpecificModel
 
     device = _device(args)
-    baseline_mhz = 1282.0  # the paper's V100 default application clock
     if args.app == "ligen":
         from repro.experiments.datasets import build_ligen_campaign
-        from repro.ligen.app import LIGEN_FEATURE_NAMES as names
 
         campaign = build_ligen_campaign(
             device, freq_count=args.freqs, repetitions=args.reps
@@ -166,20 +164,21 @@ def cmd_train(args) -> int:
             repetitions=args.reps,
             mem_freqs_mhz=_mem_freq_list(args),
         )
-        # 2-D sweeps append the memory-clock feature column; the dataset
-        # carries the authoritative name list either way, and the
-        # campaign its true baseline clock (not the V100 default).
-        names = tuple(campaign.dataset.feature_names)
-        result = next(iter(campaign.characterizations.values()))
-        if result.baseline_freq_mhz is not None:
-            baseline_mhz = float(result.baseline_freq_mhz)
     else:
         from repro.experiments.datasets import build_cronos_campaign
-        from repro.cronos.app import CRONOS_FEATURE_NAMES as names
 
         campaign = build_cronos_campaign(
             device, freq_count=args.freqs, repetitions=args.reps
         )
+    # The dataset carries the authoritative feature names (2-D sweeps
+    # append the memory-clock column) and the campaign its device's true
+    # baseline clock. Auto-governed devices report none; they fall back
+    # to the paper's V100 default application clock.
+    names = tuple(campaign.dataset.feature_names)
+    result = next(iter(campaign.characterizations.values()))
+    baseline_mhz = (
+        1282.0 if result.baseline_freq_mhz is None else float(result.baseline_freq_mhz)
+    )
 
     model = DomainSpecificModel(
         names,

@@ -92,10 +92,6 @@ def default_training_freqs(device: SynergyDevice, count: Optional[int]) -> List[
     return sorted(set(freqs))
 
 
-# Backwards-compatible private alias (pre-engine internal name).
-_default_freqs = default_training_freqs
-
-
 def resolve_training_freqs(
     device: SynergyDevice,
     freq_count: Optional[int],
@@ -135,56 +131,60 @@ def _characterize_all(
     engine: Optional[CampaignEngine],
     progress: Optional[ProgressFn],
     method: Optional[str],
-) -> List[CharacterizationResult]:
-    """Sweep every app: engine fan-out when available, else in-process.
+) -> List[Optional[List[CharacterizationResult]]]:
+    """Core-only sweep, one untagged row per app: engine fan-out when available.
 
-    ``method`` picks the measurement path (``"serial"`` or the batched
-    ``"replay"`` fast path — bit-identical results either way); ``None``
-    keeps the engine's configured default (serial without an engine).
+    Without an engine the apps are swept in-process. ``method`` picks the
+    measurement path (``"serial"`` or the batched ``"replay"`` fast path —
+    bit-identical results either way); ``None`` keeps the engine's
+    configured default (serial without an engine).
     """
-    if engine is None:
-        return [
-            characterize(
-                app,
-                device,
-                freqs_mhz=freqs,
-                repetitions=repetitions,
-                method=method or "serial",
-            )
-            for app in apps
-        ]
-    return engine.characterize_many(
-        apps,
-        device.gpu.spec,
-        freqs_mhz=freqs,
-        repetitions=repetitions,
-        progress=progress,
-        method=method,
-    )
+    if engine is not None:
+        results = engine.characterize_many(
+            apps, device.gpu.spec, freqs, repetitions, progress=progress, method=method
+        )
+        return [None if result is None else [result] for result in results]
+    serial = method or "serial"
+    return [
+        [characterize(app, device, freqs_mhz=freqs, repetitions=repetitions, method=serial)]
+        for app in apps
+    ]
 
 
 def _assemble(
     apps: Sequence[Application],
-    results: Sequence[Optional[CharacterizationResult]],
+    rows_per_app: Sequence[Optional[Sequence[CharacterizationResult]]],
     feature_names: Sequence[str],
     freqs: List[float],
     engine: Optional[CampaignEngine],
+    mem_axis: bool = False,
 ) -> CampaignData:
+    """One campaign from per-app result rows.
+
+    With ``mem_axis`` each row is keyed by its memory clock, appended to
+    the app's domain features as the :data:`MEM_FEATURE_NAME` column.
+    """
+    if mem_axis:
+        feature_names = tuple(feature_names) + (MEM_FEATURE_NAME,)
     dataset = EnergyDataset(feature_names=tuple(feature_names))
     chars: Dict[FeatureKey, CharacterizationResult] = {}
-    for app, result in zip(apps, results):
-        if result is None:
+    for app, rows in zip(apps, rows_per_app):
+        if rows is None:
             # Baseline quarantined under a fault plan: the app's sweep is
             # dropped; engine.stats reports the loss (completeness()).
             continue
-        features = app.domain_features
-        dataset.add_characterization(features, result)
-        chars[features] = result
+        for row in rows:
+            features = app.domain_features
+            if mem_axis:
+                features += (float(row.mem_freq_mhz),)
+            dataset.add_characterization(features, row)
+            chars[features] = row
     return CampaignData(
         dataset=dataset,
         characterizations=chars,
         freqs_mhz=freqs,
         stats=None if engine is None else engine.stats,
+        mem_freqs_mhz=sorted({f[-1] for f in chars}) if mem_axis else None,
     )
 
 
@@ -202,8 +202,8 @@ def build_cronos_campaign(
     """Characterize Cronos over the grid sweep (paper §5.1 protocol)."""
     freqs = resolve_training_freqs(device, freq_count, freqs_mhz)
     apps = [CronosApplication.from_size(nx, ny, nz, n_steps=n_steps) for nx, ny, nz in grids]
-    results = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
-    return _assemble(apps, results, CRONOS_FEATURE_NAMES, freqs, engine)
+    rows = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
+    return _assemble(apps, rows, CRONOS_FEATURE_NAMES, freqs, engine)
 
 
 def build_ligen_campaign(
@@ -226,8 +226,8 @@ def build_ligen_campaign(
         for atoms in atom_counts
         for fragments in fragment_counts
     ]
-    results = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
-    return _assemble(apps, results, LIGEN_FEATURE_NAMES, freqs, engine)
+    rows = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
+    return _assemble(apps, rows, LIGEN_FEATURE_NAMES, freqs, engine)
 
 
 def build_mhd_campaign(
@@ -260,38 +260,13 @@ def build_mhd_campaign(
         for nr, ntheta, nz in grids
     ]
     if mem_freqs_mhz is None:
-        results = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
-        return _assemble(apps, results, MHD_FEATURE_NAMES, freqs, engine)
-
-    # 2-D sweep: always runs through an engine (the (app x core x mem)
-    # fan-out and the shared-baseline bookkeeping live there).
-    grid_engine = engine if engine is not None else CampaignEngine(jobs=1)
-    grid_results = grid_engine.characterize_grid(
-        apps,
-        device.gpu.spec,
-        freqs_mhz=freqs,
-        mem_freqs_mhz=mem_freqs_mhz,
-        repetitions=repetitions,
-        progress=progress,
-        method=method,
-    )
-    dataset = EnergyDataset(feature_names=MHD_FEATURE_NAMES + (MEM_FEATURE_NAME,))
-    chars: Dict[FeatureKey, CharacterizationResult] = {}
-    mem_clocks: List[float] = []
-    for app, rows in zip(apps, grid_results):
-        if rows is None:
-            continue
-        for row in rows:
-            mem = float(row.mem_freq_mhz)
-            features = app.domain_features + (mem,)
-            dataset.add_characterization(features, row)
-            chars[features] = row
-            if mem not in mem_clocks:
-                mem_clocks.append(mem)
-    return CampaignData(
-        dataset=dataset,
-        characterizations=chars,
-        freqs_mhz=freqs,
-        stats=grid_engine.stats,
-        mem_freqs_mhz=sorted(mem_clocks),
-    )
+        rows = _characterize_all(apps, device, freqs, repetitions, engine, progress, method)
+    else:
+        # 2-D sweep: always runs through an engine (the (app x core x mem)
+        # fan-out and the shared-baseline bookkeeping live there).
+        engine = engine if engine is not None else CampaignEngine(jobs=1)
+        rows = engine.characterize_grid(
+            apps, device.gpu.spec, freqs, mem_freqs_mhz, repetitions, progress, method
+        )
+    mem_axis = mem_freqs_mhz is not None
+    return _assemble(apps, rows, MHD_FEATURE_NAMES, freqs, engine, mem_axis=mem_axis)

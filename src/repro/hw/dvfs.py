@@ -122,6 +122,18 @@ class FrequencyTable:
         self.__dict__.update(state)
         self._freqs.setflags(write=False)
 
+    def __eq__(self, other: object) -> bool:
+        # Value equality, so specs built from the same description
+        # compare equal (``DeviceSpec`` equality compares its tables).
+        if not isinstance(other, FrequencyTable):
+            return NotImplemented
+        return self._default == other._default and np.array_equal(
+            self._freqs, other._freqs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._freqs.tobytes(), self._default))
+
     @property
     def freqs_mhz(self) -> np.ndarray:
         """All supported frequencies (ascending copy)."""

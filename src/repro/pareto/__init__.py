@@ -1,7 +1,8 @@
 """Pareto-front extraction and front-quality metrics.
 
 - :mod:`repro.pareto.front` — non-dominated set extraction over the
-  (speedup, normalized-energy) objective space
+  (speedup, normalized-energy) objective space, for core-only sweeps
+  and (core, memory) clock grids alike
 - :mod:`repro.pareto.metrics` — exact-frequency matches, coverage,
   generational distance and hypervolume for comparing predicted fronts
   against the true front (paper §5.2.2)
@@ -9,12 +10,9 @@
 
 from repro.pareto.front import (
     DEFAULT_FREQ_TOL_MHZ,
-    GridParetoFront,
-    GridParetoPoint,
     ParetoFront,
     ParetoPoint,
     extract_front,
-    extract_grid_front,
     half_bin_tolerance,
     pareto_mask,
 )
@@ -28,14 +26,11 @@ from repro.pareto.metrics import (
 
 __all__ = [
     "DEFAULT_FREQ_TOL_MHZ",
-    "GridParetoFront",
-    "GridParetoPoint",
     "ParetoFront",
     "ParetoPoint",
     "half_bin_tolerance",
     "exact_frequency_matches",
     "extract_front",
-    "extract_grid_front",
     "frequency_match_fraction",
     "front_coverage",
     "generational_distance",

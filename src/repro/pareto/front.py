@@ -4,6 +4,11 @@ Convention (paper §2.1): a configuration is Pareto-optimal when no other
 configuration achieves **higher speedup** without **higher normalized
 energy** — i.e. we maximize speedup and minimize energy. Ties are handled
 so that duplicated points are reported once.
+
+A configuration is a core clock, optionally tagged with the memory clock
+of a 2-D ``(f_core, f_mem)`` grid. Domination is always judged in the
+objective plane; the clocks only identify which configuration achieved a
+point, so a core-only sweep is simply the untagged one-row case.
 """
 
 from __future__ import annotations
@@ -18,11 +23,8 @@ from repro.utils.validation import check_finite_array
 __all__ = [
     "ParetoPoint",
     "ParetoFront",
-    "GridParetoPoint",
-    "GridParetoFront",
     "pareto_mask",
     "extract_front",
-    "extract_grid_front",
     "half_bin_tolerance",
     "DEFAULT_FREQ_TOL_MHZ",
 ]
@@ -59,6 +61,13 @@ class ParetoPoint:
     speedup: float
     energy: float
     freq_mhz: float
+    #: Memory clock of a 2-D grid configuration; ``None`` for core-only.
+    mem_freq_mhz: Optional[float] = None
+
+    @property
+    def freq_pair(self) -> tuple:
+        """The ``(f_core, f_mem)`` configuration, in MHz."""
+        return (self.freq_mhz, self.mem_freq_mhz)
 
     def dominates(self, other: "ParetoPoint", tol: float = 0.0) -> bool:
         """True if this point is at least as good on both axes and strictly
@@ -117,6 +126,11 @@ class ParetoFront:
         return np.array([p.freq_mhz for p in self._points], dtype=float)
 
     @property
+    def mem_freqs_mhz(self) -> np.ndarray:
+        """Memory clocks of the front configurations (NaN where untagged)."""
+        return np.array([p.mem_freq_mhz for p in self._points], dtype=float)
+
+    @property
     def speedups(self) -> np.ndarray:
         """Speedups of the front configurations (ascending)."""
         return np.array([p.speedup for p in self._points], dtype=float)
@@ -142,6 +156,27 @@ class ParetoFront:
             return False
         return bool(np.any(np.abs(self.freqs_mhz - float(freq_mhz)) <= tol_mhz))
 
+    def contains_pair(
+        self,
+        freq_mhz: float,
+        mem_freq_mhz: float,
+        tol_mhz: float = DEFAULT_FREQ_TOL_MHZ,
+        mem_tol_mhz: Optional[float] = None,
+    ) -> bool:
+        """True if the ``(core, mem)`` pair appears on the front.
+
+        Core and memory tables have very different bin spacings, so each
+        axis takes its own tolerance; ``mem_tol_mhz`` defaults to
+        ``tol_mhz``. Untagged (core-only) points match no pair.
+        """
+        if len(self._points) == 0:
+            return False
+        if mem_tol_mhz is None:
+            mem_tol_mhz = tol_mhz
+        core_ok = np.abs(self.freqs_mhz - float(freq_mhz)) <= tol_mhz
+        mem_ok = np.abs(self.mem_freqs_mhz - float(mem_freq_mhz)) <= mem_tol_mhz
+        return bool(np.any(core_ok & mem_ok))
+
     def max_speedup_point(self) -> ParetoPoint:
         """The highest-performance front point."""
         if not self._points:
@@ -161,89 +196,28 @@ class ParetoFront:
         return bool(np.all(np.diff(en) >= -1e-12))
 
 
-def extract_front(speedups, energies, freqs_mhz) -> ParetoFront:
-    """Extract the Pareto front from parallel arrays of configurations."""
-    sp = check_finite_array(speedups, "speedups").ravel()
-    en = check_finite_array(energies, "energies").ravel()
-    fr = check_finite_array(freqs_mhz, "freqs_mhz").ravel()
-    if not (sp.size == en.size == fr.size):
-        raise ValueError("speedups, energies and freqs_mhz must have equal length")
-    mask = pareto_mask(sp, en)
-    pts = [
-        ParetoPoint(speedup=float(s), energy=float(e), freq_mhz=float(f))
-        for s, e, f in zip(sp[mask], en[mask], fr[mask])
-    ]
-    return ParetoFront(pts)
+def extract_front(speedups, energies, freqs_mhz, mem_freqs_mhz=None) -> ParetoFront:
+    """Extract the Pareto front from parallel arrays of configurations.
 
-
-@dataclass(frozen=True)
-class GridParetoPoint(ParetoPoint):
-    """A front point on the 2-D (core, memory) frequency grid.
-
-    Domination is still judged purely in the (speedup, energy) objective
-    plane — the clocks only identify *which* configuration achieved the
-    point.
-    """
-
-    mem_freq_mhz: float
-
-    @property
-    def freq_pair(self) -> tuple:
-        """The ``(f_core, f_mem)`` configuration, in MHz."""
-        return (self.freq_mhz, self.mem_freq_mhz)
-
-
-class GridParetoFront(ParetoFront):
-    """A Pareto front over 2-D (core, memory) frequency configurations."""
-
-    @property
-    def mem_freqs_mhz(self) -> np.ndarray:
-        """Memory clocks of the front configurations."""
-        return np.array([p.mem_freq_mhz for p in self._points], dtype=float)
-
-    def contains_pair(
-        self,
-        freq_mhz: float,
-        mem_freq_mhz: float,
-        tol_mhz: float = DEFAULT_FREQ_TOL_MHZ,
-        mem_tol_mhz: float | None = None,
-    ) -> bool:
-        """True if the ``(core, mem)`` pair appears on the front.
-
-        Core and memory tables have very different bin spacings, so each
-        axis takes its own tolerance; ``mem_tol_mhz`` defaults to
-        ``tol_mhz``.
-        """
-        if len(self._points) == 0:
-            return False
-        if mem_tol_mhz is None:
-            mem_tol_mhz = tol_mhz
-        core_ok = np.abs(self.freqs_mhz - float(freq_mhz)) <= tol_mhz
-        mem_ok = np.abs(self.mem_freqs_mhz - float(mem_freq_mhz)) <= mem_tol_mhz
-        return bool(np.any(core_ok & mem_ok))
-
-
-def extract_grid_front(speedups, energies, freqs_mhz, mem_freqs_mhz) -> GridParetoFront:
-    """Extract the Pareto front over a flattened 2-D frequency grid.
-
-    All four arrays run in parallel over the flattened ``(core, mem)``
-    configurations — build them with e.g. ``np.meshgrid`` + ``ravel``.
-    The objective plane is unchanged (maximize speedup, minimize energy);
-    only the configuration identity is two-dimensional.
+    ``mem_freqs_mhz`` tags each configuration with its memory clock for a
+    flattened 2-D ``(core, mem)`` grid (build the arrays with e.g.
+    ``np.meshgrid`` + ``ravel``); ``None`` leaves the points untagged.
+    The objective plane is the same either way.
     """
     sp = check_finite_array(speedups, "speedups").ravel()
     en = check_finite_array(energies, "energies").ravel()
     fr = check_finite_array(freqs_mhz, "freqs_mhz").ravel()
-    mf = check_finite_array(mem_freqs_mhz, "mem_freqs_mhz").ravel()
+    mf = fr
+    if mem_freqs_mhz is not None:
+        mf = check_finite_array(mem_freqs_mhz, "mem_freqs_mhz").ravel()
     if not (sp.size == en.size == fr.size == mf.size):
         raise ValueError(
             "speedups, energies, freqs_mhz and mem_freqs_mhz must have equal length"
         )
     mask = pareto_mask(sp, en)
+    tagged = mem_freqs_mhz is not None
     pts = [
-        GridParetoPoint(
-            speedup=float(s), energy=float(e), freq_mhz=float(f), mem_freq_mhz=float(m)
-        )
+        ParetoPoint(float(s), float(e), float(f), float(m) if tagged else None)
         for s, e, f, m in zip(sp[mask], en[mask], fr[mask], mf[mask])
     ]
-    return GridParetoFront(pts)
+    return ParetoFront(pts)

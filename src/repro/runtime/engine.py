@@ -1,8 +1,9 @@
 """The campaign execution engine.
 
-Fans the (application x frequency) measurement grid out over a
+Fans the (application x f_core x f_mem) measurement grid out over a
 ``concurrent.futures`` process pool and merges per-point results back
-into :class:`repro.synergy.runner.CharacterizationResult` objects.
+into :class:`repro.synergy.runner.CharacterizationResult` rows. A
+core-only sweep is the grid's one untagged reference-memory row.
 
 Determinism
 -----------
@@ -586,66 +587,13 @@ class CampaignEngine:
         progress: Optional[ProgressFn] = None,
         method: Optional[str] = None,
     ) -> List[Optional[CharacterizationResult]]:
-        """Sweep several applications as one task pool.
+        """Core-only sweep: the grid with one untagged reference-memory row.
 
-        All (app x point) tasks share the pool, so a many-input campaign
-        keeps every worker busy even while individual sweeps drain.
-        Results are returned in ``apps`` order and are bit-identical for
-        any ``jobs`` value — and, because the replay fast path reproduces
-        the serial noise stream exactly, for either ``method``.
-        ``method`` overrides the engine default for this call.
-
-        Under a fault plan the campaign degrades gracefully: a sweep
-        point that exhausted its retry budget is dropped from its app's
-        samples, and an app whose *baseline* was quarantined yields
-        ``None`` in its slot. ``stats`` records what was lost
-        (``quarantined_points``, ``completeness()``). Without a plan
-        every slot is a real result, exactly as before.
+        Returns that row per app (``None`` where the baseline was
+        quarantined); seeds, cache keys and records are the 1-D ones.
         """
-        if not apps:
-            raise ConfigurationError("characterize_many needs at least one application")
-        repetitions = check_positive_int(repetitions, "repetitions")
-        sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
-        method = self.method if method is None else self._check_method(method)
-
-        device = Encoded(canonical_json(spec.signature()))
-        tasks: List[MeasurementTask] = []
-        payloads: List[Dict[str, Any]] = []
-        for app in apps:
-            app_fp = self._app_identity(app)
-            for freq in [None, *sweep]:
-                task = self._task_for(app, app_fp, spec, freq, repetitions, method)
-                tasks.append(task)
-                payloads.append(self._cache_payload(task, device, app_fp))
-
-        if method == "replay":
-            self._account_launch_evals(apps, spec, len(sweep) + 1, repetitions)
-
-        measurements = self._run_tasks(tasks, payloads, progress)
-
-        # Merge per-point measurements back into one result per app.
-        points_per_app = 1 + len(sweep)
-        results: List[Optional[CharacterizationResult]] = []
-        baseline_label, baseline_freq = self._baseline_descriptor(spec)
-        for i, app in enumerate(apps):
-            chunk = measurements[i * points_per_app : (i + 1) * points_per_app]
-            baseline, samples = chunk[0], chunk[1:]
-            if baseline is None:
-                # Every synergy metric is relative to the baseline; with
-                # it quarantined the app's sweep is unusable this run.
-                results.append(None)
-                continue
-            result = CharacterizationResult(
-                app_name=app.name,
-                device_name=spec.name,
-                baseline_label=baseline_label,
-                baseline_freq_mhz=baseline_freq,
-                baseline_time_s=baseline.time_s,
-                baseline_energy_j=baseline.energy_j,
-                samples=[m.to_sample() for m in samples if m is not None],
-            )
-            results.append(result)
-        return results
+        rows = self._sweep(apps, spec, freqs_mhz, [None], repetitions, progress, method)
+        return [None if r is None else r[0] for r in rows]
 
     def characterize_grid(
         self,
@@ -671,27 +619,45 @@ class CampaignEngine:
         identical measurements. A grid with ``mem_freqs_mhz=[reference]``
         therefore reproduces :meth:`characterize_many` exactly (the
         backward-compat invariant) and shares its cache entries.
+        """
+        mems = [float(m) for m in resolve_sweep(spec.mem_freq_table, mem_freqs_mhz)]
+        return self._sweep(apps, spec, freqs_mhz, mems, repetitions, progress, method)
 
-        Quarantine semantics match :meth:`characterize_many`: a lost
-        baseline voids the app's slot (``None``); lost grid points are
-        dropped from their row's samples.
+    def _sweep(
+        self,
+        apps: Sequence[Application],
+        spec: DeviceSpec,
+        freqs_mhz: Optional[Sequence[float]],
+        mem_rows: Sequence[Optional[float]],
+        repetitions: int,
+        progress: Optional[ProgressFn],
+        method: Optional[str],
+    ) -> List[Optional[List[CharacterizationResult]]]:
+        """Sweep every app over ``freqs_mhz`` x ``mem_rows`` as one task pool.
+
+        Per app: one baseline task, then one row of core-clock tasks per
+        memory clock (``None`` tags the untagged reference row). Points at
+        the reference memory clock run unpinned, with the 1-D task
+        identity. Results are bit-identical for any ``jobs`` and either
+        ``method``. Under a fault plan a quarantined point is dropped from
+        its row and a quarantined baseline voids the app's slot
+        (``None``); ``stats`` records the loss.
         """
         if not apps:
-            raise ConfigurationError("characterize_grid needs at least one application")
+            raise ConfigurationError("a campaign sweep needs at least one application")
         repetitions = check_positive_int(repetitions, "repetitions")
         sweep = resolve_sweep(spec.core_freqs, freqs_mhz)
-        mem_sweep = resolve_sweep(spec.mem_freq_table, mem_freqs_mhz)
         method = self.method if method is None else self._check_method(method)
         reference_mem = float(spec.mem_freq_mhz)
+        pinned = [None if m == reference_mem else m for m in mem_rows]
+        points_per_app = 1 + len(sweep) * len(mem_rows)
 
         device = Encoded(canonical_json(spec.signature()))
         tasks: List[MeasurementTask] = []
         payloads: List[Dict[str, Any]] = []
         for app in apps:
             app_fp = self._app_identity(app)
-            for freq, mem in [(None, None)] + [
-                (f, None if m == reference_mem else m) for m in mem_sweep for f in sweep
-            ]:
+            for freq, mem in [(None, None)] + [(f, m) for m in pinned for f in sweep]:
                 task = self._task_for(
                     app, app_fp, spec, freq, repetitions, method, mem_freq_mhz=mem
                 )
@@ -699,23 +665,23 @@ class CampaignEngine:
                 payloads.append(self._cache_payload(task, device, app_fp))
 
         if method == "replay":
-            self._account_launch_evals(
-                apps, spec, 1 + len(sweep) * len(mem_sweep), repetitions
-            )
+            self._account_launch_evals(apps, spec, points_per_app, repetitions)
 
         measurements = self._run_tasks(tasks, payloads, progress)
 
-        points_per_app = 1 + len(sweep) * len(mem_sweep)
+        # Merge per-point measurements back into rows sharing one baseline.
         results: List[Optional[List[CharacterizationResult]]] = []
         baseline_label, baseline_freq = self._baseline_descriptor(spec)
         for i, app in enumerate(apps):
             chunk = measurements[i * points_per_app : (i + 1) * points_per_app]
             baseline = chunk[0]
             if baseline is None:
+                # Every synergy metric is relative to the baseline; with
+                # it quarantined the app's sweep is unusable this run.
                 results.append(None)
                 continue
             rows: List[CharacterizationResult] = []
-            for j, mem in enumerate(mem_sweep):
+            for j, mem in enumerate(mem_rows):
                 sub = chunk[1 + j * len(sweep) : 1 + (j + 1) * len(sweep)]
                 rows.append(
                     CharacterizationResult(
@@ -726,7 +692,7 @@ class CampaignEngine:
                         baseline_time_s=baseline.time_s,
                         baseline_energy_j=baseline.energy_j,
                         samples=[m.to_sample() for m in sub if m is not None],
-                        mem_freq_mhz=float(mem),
+                        mem_freq_mhz=mem,
                     )
                 )
             results.append(rows)

@@ -9,6 +9,10 @@ optimizers cap power while chasing throughput. Each
 :class:`~repro.modeling.domain.TradeoffPrediction` — no hidden state, no
 randomness — so the advice for a given (model, features, grid,
 objective) tuple is deterministic and safely cacheable.
+
+Core-only and 2-D ``(f_core, f_mem)`` advice share one builder: a
+core-only profile is the grid with a single untagged memory row, so its
+advice and ``Advice.as_dict()`` bytes are the historical 1-D ones.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.modeling.domain import TradeoffPrediction
-from repro.pareto.front import extract_grid_front
+from repro.pareto.front import extract_front
 
 __all__ = ["OBJECTIVE_KINDS", "Objective", "Advice"]
 
@@ -183,29 +187,11 @@ class Objective:
         raise ServingError(f"unknown objective kind {self.kind!r}")
 
     def evaluate(self, prediction: TradeoffPrediction) -> Advice:
-        """Apply this objective to one predicted profile."""
-        sp = prediction.speedups
-        ne = prediction.normalized_energies
-        times = prediction.times_s
-        energies = prediction.energies_j
-        idx = self._select(sp, ne, times, energies)
-
-        front = prediction.pareto_front()
-        pareto_freqs = tuple(float(f) for f in front.freqs_mhz)
-        freq = float(prediction.freqs_mhz[idx])
-        return Advice(
-            objective=self.kind,
-            freq_mhz=freq,
-            predicted_time_s=float(times[idx]),
-            predicted_energy_j=float(energies[idx]),
-            predicted_speedup=float(sp[idx]),
-            predicted_normalized_energy=float(ne[idx]),
-            pareto_freqs_mhz=pareto_freqs,
-            on_pareto_front=front.contains_freq(freq),
-        )
+        """Apply this objective to one predicted core-only profile."""
+        return self._advise([(None, prediction)])
 
     def evaluate_grid(
-        self, profiles: Sequence[Tuple[float, TradeoffPrediction]]
+        self, profiles: Sequence[Tuple[Optional[float], TradeoffPrediction]]
     ) -> Advice:
         """Apply this objective across a 2-D ``(f_core, f_mem)`` grid.
 
@@ -214,26 +200,43 @@ class Objective:
         normalized against the *same* baseline (the reference-memory
         baseline run — which is how :meth:`repro.runtime.engine.
         CampaignEngine.characterize_grid` builds its rows), otherwise
-        speedups are not comparable across rows. Selection is the same
-        deterministic argmin/argmax as :meth:`evaluate`, taken over the
-        flattened grid in the given row order; the returned advice
-        carries the winning pair and the grid-wide Pareto front.
+        speedups are not comparable across rows. The returned advice
+        carries the winning pair and the grid-wide Pareto front; one row
+        tagged ``None`` is a core-only profile, advised as by :meth:`evaluate`.
         """
-        if not profiles:
+        return self._advise(profiles)
+
+    def _advise(
+        self, rows: Sequence[Tuple[Optional[float], TradeoffPrediction]]
+    ) -> Advice:
+        """Select over the ``(mem, profile)`` rows, flattened in order.
+
+        One row is used as is, without copying; one row tagged ``None`` is
+        a core-only profile and yields untagged advice.
+        """
+        if not rows:
             raise ServingError("evaluate_grid requires at least one (mem, profile) row")
-        sp = np.concatenate([p.speedups for _, p in profiles])
-        ne = np.concatenate([p.normalized_energies for _, p in profiles])
-        times = np.concatenate([p.times_s for _, p in profiles])
-        energies = np.concatenate([p.energies_j for _, p in profiles])
-        core = np.concatenate([p.freqs_mhz for _, p in profiles])
-        mem = np.concatenate(
-            [np.full(len(p.freqs_mhz), float(m)) for m, p in profiles]
+
+        def column(attr: str) -> np.ndarray:
+            if len(rows) == 1:
+                return getattr(rows[0][1], attr)
+            return np.concatenate([getattr(p, attr) for _, p in rows])
+
+        sp, ne, times, energies, core = (
+            column(a)
+            for a in ("speedups", "normalized_energies", "times_s", "energies_j", "freqs_mhz")
         )
         idx = self._select(sp, ne, times, energies)
-
-        front = extract_grid_front(sp, ne, core, mem)
         freq = float(core[idx])
-        mem_freq = float(mem[idx])
+        if rows[0][0] is None:
+            front = extract_front(sp, ne, core)
+            mem_freq, pairs, on_front = None, None, front.contains_freq(freq)
+        else:
+            mems = np.repeat([float(m) for m, _ in rows], [len(p.freqs_mhz) for _, p in rows])
+            front = extract_front(sp, ne, core, mems)
+            mem_freq = float(mems[idx])
+            pairs = tuple(p.freq_pair for p in front)
+            on_front = front.contains_pair(freq, mem_freq)
         return Advice(
             objective=self.kind,
             freq_mhz=freq,
@@ -242,11 +245,9 @@ class Objective:
             predicted_speedup=float(sp[idx]),
             predicted_normalized_energy=float(ne[idx]),
             pareto_freqs_mhz=tuple(float(f) for f in front.freqs_mhz),
-            on_pareto_front=front.contains_pair(freq, mem_freq),
+            on_pareto_front=on_front,
             mem_freq_mhz=mem_freq,
-            pareto_pairs_mhz=tuple(
-                (float(p.freq_mhz), float(p.mem_freq_mhz)) for p in front
-            ),
+            pareto_pairs_mhz=pairs,
         )
 
     def describe(self) -> str:

@@ -197,37 +197,25 @@ def _evaluate_objective(
             return model.predict_tradeoff(list(features), result.freqs_mhz)
         return measured_tradeoff(result)
 
-    rows: List[AdviceRow] = []
-    if getattr(campaign, "mem_freqs_mhz", None):
-        # 2-D campaign: characterizations are keyed by domain features
-        # plus the memory clock; group the per-mem rows of each input and
-        # pick the best (f_core, f_mem) pair over the whole grid.
-        grouped: Dict[Tuple[float, ...], List[Tuple[float, Any]]] = {}
-        for features in sorted(campaign.characterizations):
-            result = campaign.characterizations[features]
-            grouped.setdefault(features[:-1], []).append((features[-1], result))
-        for domain_features, mem_rows in sorted(grouped.items()):
-            profiles = [
-                (mem, profile_for(domain_features + (mem,), result))
-                for mem, result in mem_rows
-            ]
-            label = mem_rows[0][1].app_name
-            try:
-                advice = objective.evaluate_grid(profiles)
-            except ServingError as exc:
-                rows.append(AdviceRow(label, domain_features, error=str(exc)))
-            else:
-                rows.append(AdviceRow(label, domain_features, advice=advice))
-        return rows
+    # A 2-D campaign keys characterizations by domain features plus the
+    # memory clock: group each input's per-mem rows and pick the best
+    # (f_core, f_mem) pair over its whole grid. A core-only campaign's
+    # inputs are one untagged row each.
+    two_d = bool(getattr(campaign, "mem_freqs_mhz", None))
+    grouped: Dict[Tuple[float, ...], Tuple[str, List[Tuple[Optional[float], Any]]]] = {}
     for features in sorted(campaign.characterizations):
         result = campaign.characterizations[features]
+        key, mem = (features[:-1], features[-1]) if two_d else (features, None)
         profile = profile_for(features, result)
+        grouped.setdefault(key, (result.app_name, []))[1].append((mem, profile))
+    rows: List[AdviceRow] = []
+    for domain_features, (label, profiles) in grouped.items():
         try:
-            advice = objective.evaluate(profile)
+            advice = objective.evaluate_grid(profiles)
         except ServingError as exc:
-            rows.append(AdviceRow(result.app_name, features, error=str(exc)))
+            rows.append(AdviceRow(label, domain_features, error=str(exc)))
         else:
-            rows.append(AdviceRow(result.app_name, features, advice=advice))
+            rows.append(AdviceRow(label, domain_features, advice=advice))
     return rows
 
 

@@ -81,6 +81,20 @@ class TestFrequencyTable:
         arr[0] = 999.0
         assert t.min_mhz == 100.0
 
+    def test_equal_by_value(self):
+        a = FrequencyTable([100.0, 200.0, 300.0], default_mhz=200.0)
+        b = FrequencyTable([300.0, 200.0, 100.0], default_mhz=201.0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_unequal_tables(self):
+        base = FrequencyTable([100.0, 200.0], default_mhz=200.0)
+        assert base != FrequencyTable([100.0, 200.0])
+        assert base != FrequencyTable([100.0, 200.0], default_mhz=100.0)
+        assert base != FrequencyTable([100.0, 200.0, 300.0], default_mhz=200.0)
+        assert base != [100.0, 200.0]
+
 
 class TestVoltageCurve:
     def make(self, exponent=1.0):

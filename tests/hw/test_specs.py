@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.hw.device import SimulatedGPU, create_device
-from repro.hw.specs import FrozenMapping, make_mi100_spec, make_v100_spec, scale_spec
+from repro.hw.specs import (
+    FrozenMapping,
+    make_a100_spec,
+    make_h100_spec,
+    make_mi100_spec,
+    make_v100_spec,
+    scale_spec,
+)
 
 
 class TestV100Spec:
@@ -99,8 +106,19 @@ class TestSharedSpecs:
         assert create_device("v100").spec is not create_device("mi100").spec
 
     def test_shared_spec_equals_fresh_spec(self):
-        # FrequencyTable compares by identity, so compare signatures.
         assert create_device("mi100").spec.signature() == make_mi100_spec().signature()
+
+    @pytest.mark.parametrize("make", [make_v100_spec, make_mi100_spec, make_a100_spec])
+    def test_specs_compare_by_value(self, make):
+        assert make() == make()
+        assert create_device(make().name).spec == make()
+        assert make() != make_h100_spec()
+
+    def test_memory_table_equals_itself(self):
+        # v1 specs build their single-entry memory table on each access.
+        spec = make_v100_spec()
+        assert spec.mem_freqs is None
+        assert spec.mem_freq_table == spec.mem_freq_table
 
     def test_cost_overrides_reject_mutation(self):
         overrides = create_device("mi100").spec.op_cost_overrides

@@ -1,14 +1,13 @@
-"""Pareto fronts over the 2-D (core, memory) frequency grid."""
+"""Pareto fronts over the 2-D (core, memory) frequency grid.
+
+One :class:`ParetoFront` serves both cases: grid points carry their
+memory clock, core-only points leave it ``None``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.pareto.front import (
-    GridParetoFront,
-    GridParetoPoint,
-    extract_grid_front,
-    half_bin_tolerance,
-)
+from repro.pareto.front import ParetoFront, extract_front, half_bin_tolerance
 
 # A hand-built 2x3 (mem x core) grid, flattened. Rows: mem 810 then 1215.
 #   speedup:  810 -> (0.5, 0.8, 1.0)   1215 -> (0.6, 1.0, 1.3)
@@ -23,7 +22,7 @@ MEMS = [810.0, 810.0, 810.0, 1215.0, 1215.0, 1215.0]
 
 @pytest.fixture
 def front():
-    return extract_grid_front(SPEEDUPS, ENERGIES, CORES, MEMS)
+    return extract_front(SPEEDUPS, ENERGIES, CORES, MEMS)
 
 
 class TestExtraction:
@@ -37,13 +36,11 @@ class TestExtraction:
 
     def test_points_carry_both_clocks(self, front):
         best = front.max_speedup_point()
-        assert isinstance(best, GridParetoPoint)
         assert best.freq_mhz == 1410.0
         assert best.mem_freq_mhz == 1215.0
         assert best.freq_pair == (1410.0, 1215.0)
 
     def test_front_type_and_parallel_arrays(self, front):
-        assert isinstance(front, GridParetoFront)
         assert np.array_equal(front.mem_freqs_mhz, [810.0, 810.0, 1215.0, 1215.0])
         assert front.freqs_mhz.shape == front.mem_freqs_mhz.shape
 
@@ -52,10 +49,10 @@ class TestExtraction:
 
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            extract_grid_front(SPEEDUPS, ENERGIES, CORES, MEMS[:-1])
+            extract_front(SPEEDUPS, ENERGIES, CORES, MEMS[:-1])
 
     def test_exact_duplicates_are_reported_once(self):
-        f = extract_grid_front(
+        f = extract_front(
             [1.0, 1.0], [0.5, 0.5], [900.0, 900.0], [810.0, 810.0]
         )
         assert len(f) == 1
@@ -64,7 +61,7 @@ class TestExtraction:
         # Two distinct (core, mem) pairs landing on the exact same
         # objective point: domination is judged in the objective plane,
         # so only the first is kept (matching pareto_mask's tie rule).
-        f = extract_grid_front(
+        f = extract_front(
             [1.0, 1.0], [0.5, 0.5], [900.0, 1410.0], [1215.0, 810.0]
         )
         assert len(f) == 1
@@ -100,16 +97,14 @@ class TestContainsPair:
         )
 
     def test_empty_front_contains_nothing(self):
-        f = GridParetoFront([])
+        f = ParetoFront([])
         assert not f.contains_pair(900.0, 810.0)
 
 
 def test_reference_mem_only_grid_matches_the_1d_front():
     """A grid with a single memory row reduces to the classic 1-D front."""
-    from repro.pareto.front import extract_front
-
     sp, en, fr = SPEEDUPS[3:], ENERGIES[3:], CORES[3:]
-    grid = extract_grid_front(sp, en, fr, [1215.0] * 3)
+    grid = extract_front(sp, en, fr, [1215.0] * 3)
     flat = extract_front(sp, en, fr)
     assert np.array_equal(grid.speedups, flat.speedups)
     assert np.array_equal(grid.energies, flat.energies)

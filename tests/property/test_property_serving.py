@@ -4,17 +4,23 @@ The central property is the determinism contract: batched inference —
 at the forest level (``predict_chunks``) and the domain-model level
 (``predict_tradeoff_batch``) — is *bitwise* equal to scalar inference
 for arbitrary inputs and batch shapes. Everything the advisor service
-guarantees (concurrent == serial) reduces to this.
+guarantees (concurrent == serial) reduces to this. A second contract is
+that core-only advice is the one-row case of 2-D grid advice, bit for bit.
 """
+
+import struct
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ServingError
 from repro.ml.forest import RandomForestRegressor
 from repro.modeling.dataset import EnergyDataset, EnergySample
-from repro.modeling.domain import DomainSpecificModel
+from repro.modeling.domain import DomainSpecificModel, TradeoffPrediction
+from repro.pareto.front import extract_front
 from repro.serving import LatencyReservoir, PredictionCache, quantize_features
+from repro.serving.objectives import Objective
 
 # One fitted substrate for the whole module (read-only afterwards).
 _RNG = np.random.default_rng(7)
@@ -130,3 +136,89 @@ def test_reservoir_percentiles_bounded_by_observations(latencies):
 def test_feature_quantization_is_idempotent(features):
     once = quantize_features(features)
     assert quantize_features(once) == once
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tradeoff_profiles(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    column = st.lists(_POSITIVE, min_size=n, max_size=n)
+    lo = draw(st.floats(min_value=100.0, max_value=1000.0))
+    step = draw(st.floats(min_value=7.5, max_value=100.0))
+    return TradeoffPrediction(
+        freqs_mhz=lo + step * np.arange(n, dtype=float),
+        times_s=np.asarray(draw(column)),
+        energies_j=np.asarray(draw(column)),
+        speedups=np.asarray(draw(column)),
+        normalized_energies=np.asarray(draw(column)),
+        baseline_freq_mhz=lo,
+    )
+
+
+@st.composite
+def objectives_for(draw, profile):
+    kind = draw(st.sampled_from(["tradeoff", "min_energy_deadline", "max_speedup_power"]))
+    # Scale a limit around the profile's own range so the feasible,
+    # partly feasible and infeasible cases are all drawn.
+    scale = draw(st.floats(min_value=0.5, max_value=1.5))
+    if kind == "min_energy_deadline":
+        return Objective.min_energy_deadline(float(np.median(profile.times_s)) * scale)
+    if kind == "max_speedup_power":
+        power = profile.energies_j / profile.times_s
+        return Objective.max_speedup_power(float(np.median(power)) * scale)
+    return Objective.tradeoff()
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except ServingError as exc:
+        return None, str(exc)
+
+
+@given(tradeoff_profiles(), st.data(), st.floats(min_value=100.0, max_value=3000.0))
+@settings(max_examples=60, deadline=None)
+def test_one_row_grid_advice_bitwise_equals_core_only(profile, data, mem):
+    """evaluate(p) and evaluate_grid([(m, p)]) agree on every core-only field."""
+    objective = data.draw(objectives_for(profile))
+    flat, flat_err = _outcome(lambda: objective.evaluate(profile))
+    grid, grid_err = _outcome(lambda: objective.evaluate_grid([(mem, profile)]))
+    assert flat_err == grid_err
+    if flat is None:
+        return
+    assert flat.objective == grid.objective
+    for field in (
+        "freq_mhz",
+        "predicted_time_s",
+        "predicted_energy_j",
+        "predicted_speedup",
+        "predicted_normalized_energy",
+    ):
+        assert _bits(getattr(flat, field)) == _bits(getattr(grid, field)), field
+    assert [_bits(f) for f in flat.pareto_freqs_mhz] == [
+        _bits(f) for f in grid.pareto_freqs_mhz
+    ]
+    assert flat.on_pareto_front is grid.on_pareto_front
+    assert flat.mem_freq_mhz is None and flat.pareto_pairs_mhz is None
+    assert grid.mem_freq_mhz == mem
+    assert all(pair[1] == mem for pair in grid.pareto_pairs_mhz)
+
+
+@given(tradeoff_profiles(), st.floats(min_value=100.0, max_value=3000.0))
+@settings(max_examples=60, deadline=None)
+def test_constant_memory_tag_keeps_the_core_only_front(profile, mem):
+    """Tagging every configuration with one memory clock changes no point."""
+    sp, ne, fr = profile.speedups, profile.normalized_energies, profile.freqs_mhz
+    flat = extract_front(sp, ne, fr)
+    tagged = extract_front(sp, ne, fr, np.full(fr.size, mem))
+    assert [(p.speedup, p.energy, p.freq_mhz) for p in flat] == [
+        (p.speedup, p.energy, p.freq_mhz) for p in tagged
+    ]
+    assert all(p.mem_freq_mhz is None for p in flat)
+    assert all(p.mem_freq_mhz == mem for p in tagged)

@@ -187,6 +187,25 @@ class TestTrainPredictTune:
         )
         assert rc == 1
 
+    def test_train_uses_the_device_baseline_clock(self, tmp_path, capsys):
+        """Training normalizes by the campaign's own baseline, not the V100's.
+
+        The A100's default application clock is 1095 MHz; a hard-coded
+        1282 MHz baseline has no training sample and aborts the fit.
+        """
+        from repro.io import load_domain_model
+
+        path = tmp_path / "a100.npz"
+        rc = main(
+            [
+                "train", "--app", "cronos", "--device", "a100",
+                "--freqs", "4", "--reps", "1", "--trees", "5",
+                "--output", str(path),
+            ]
+        )
+        assert rc == 0, capsys.readouterr().err
+        assert load_domain_model(path).baseline_freq_mhz == 1095.0
+
 
 class TestCampaignCommand:
     def test_parser_defaults(self):
